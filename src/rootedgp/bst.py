@@ -28,7 +28,7 @@ from typing import Optional
 from .errors import MalformedTreeError
 from .hostgraph import HostGraph
 from .interp import DEFAULT_MAX_ITERS, Program, Status, run
-from .oracle import o_apply
+from .oracle import gen_workload, o_apply
 from .rules import MatchStats
 from .text import build_instruction_graph, format_opscript, parse_program
 
@@ -74,7 +74,7 @@ class BstRunResult:
 
 
 def run_bst(ops, variant: str = "sanitized", max_iters: int = DEFAULT_MAX_ITERS,
-            trace: bool = False, on_apply=None) -> BstRunResult:
+            trace: bool = False) -> BstRunResult:
     """Build the instruction list, run the program, and read results back.
 
     Instruction nodes get ids 0..len(ops)-1.  Per-op stat deltas are cut
@@ -91,10 +91,10 @@ def run_bst(ops, variant: str = "sanitized", max_iters: int = DEFAULT_MAX_ITERS,
     def hook(name):
         if name == "next_op":
             snapshots.append(stats.copy())
-        if on_apply is not None:
-            on_apply(name)
+        if tr is not None:
+            tr.append(name)
 
-    status = run(prog, g, max_iters=max_iters, stats=stats, on_apply=hook, trace=tr)
+    status = run(prog, g, max_iters=max_iters, stats=stats, on_apply=hook)
     snapshots.append(stats.copy())
     per_op = [
         snapshots[i + 1].minus(snapshots[i])
@@ -108,21 +108,12 @@ def run_bst(ops, variant: str = "sanitized", max_iters: int = DEFAULT_MAX_ITERS,
     except MalformedTreeError as e:
         tree_error = str(e)
 
-    hits = []
-    for idx, op in enumerate(ops):
-        if op.kind != "s" or idx not in g.nodes:
-            continue
-        for eid in g.out_adj[idx]:
-            rec = g.edges[eid]
-            if rec.mark == "dashed":
-                hits.append((idx, op.key, rec.tgt))
-
     return BstRunResult(
         status=status,
         graph=g,
         tree=tree,
         tree_error=tree_error,
-        search_hits=hits,
+        search_hits=_search_hits(g, ops),
         garbage_count=len(garbage_nodes(g)),
         stats=stats,
         per_op_stats=per_op,
@@ -173,6 +164,20 @@ def garbage_nodes(g: HostGraph) -> list:
     ]
 
 
+def _search_hits(g: HostGraph, ops) -> list:
+    """(op index, key, target node id) for each dashed edge out of a
+    search instruction that is still in the graph."""
+    hits = []
+    for idx, op in enumerate(ops):
+        if op.kind != "s" or idx not in g.nodes:
+            continue
+        for eid in g.out_adj[idx]:
+            rec = g.edges[eid]
+            if rec.mark == "dashed":
+                hits.append((idx, op.key, rec.tgt))
+    return hits
+
+
 def _grey_children(g: HostGraph, nid: int) -> list:
     out = []
     for eid in g.out_adj[nid]:
@@ -204,15 +209,31 @@ def extract_tree(g: HostGraph):
             raise MalformedTreeError(f"node {nid} has non-key label {lab!r}")
         return lab[0]
 
-    def build(nid, seen):
-        if nid in seen:
+    # Pre-order, left before right, with an explicit stack: chains may be
+    # deeper than the interpreter's recursion limit.  A (node id, key)
+    # entry is pushed under the node's children and pops once both are
+    # built; `path` holds the ids from the top down to the current node.
+    path = set()
+    built = []
+    stack = [(tops[0], None)]
+    while stack:
+        nid, k = stack.pop()
+        if nid is None:
+            built.append(None)
+            continue
+        if k is not None:
+            right = built.pop()
+            left = built.pop()
+            built.append((k, left, right))
+            path.discard(nid)
+            continue
+        if nid in path:
             raise MalformedTreeError(f"cycle through node {nid}")
-        seen = seen | {nid}
         k = key_of(nid)
         kids = _grey_children(g, nid)
         if len(kids) > 2:
             raise MalformedTreeError(f"node {nid} has {len(kids)} grey children")
-        left = right = None
+        lo = hi = None
         if len(kids) == 2:
             ka, kb = key_of(kids[0]), key_of(kids[1])
             if ka == kb or ka == k or kb == k:
@@ -221,18 +242,17 @@ def extract_tree(g: HostGraph):
                 raise MalformedTreeError(
                     f"node {nid} has two children on the same side")
             lo, hi = (kids[0], kids[1]) if ka < kb else (kids[1], kids[0])
-            left, right = build(lo, seen), build(hi, seen)
         elif len(kids) == 1:
             ck = key_of(kids[0])
             if ck == k:
                 raise MalformedTreeError(f"child key equals parent at node {nid}")
             if ck < k:
-                left = build(kids[0], seen)
+                lo = kids[0]
             else:
-                right = build(kids[0], seen)
-        return (k, left, right)
-
-    return build(tops[0], frozenset())
+                hi = kids[0]
+        path.add(nid)
+        stack += ((nid, k), (hi, None), (lo, None))
+    return built[0]
 
 
 def tree_inorder(t) -> list:
@@ -251,18 +271,22 @@ def tree_inorder(t) -> list:
     return out
 
 
-def tree_size(t) -> int:
-    return len(tree_inorder(t))
-
-
 def format_tree(t) -> str:
     """Nested parentheses: `(5 (2 (1) (4)) (7 () (8)))`; `()` is empty."""
-    if t is None:
-        return "()"
-    k, left, right = t
-    if left is None and right is None:
-        return f"({k})"
-    return f"({k} {format_tree(left)} {format_tree(right)})"
+    out = []
+    stack = [t]       # subtrees still to write, and literal closing text
+    while stack:
+        t = stack.pop()
+        if t is None:
+            out.append("()")
+        elif type(t) is str:
+            out.append(t)
+        elif t[1] is None and t[2] is None:
+            out.append(f"({t[0]})")
+        else:
+            out.append(f"({t[0]} ")
+            stack += (")", t[2], " ", t[1])
+    return "".join(out)
 
 
 # -- output validation ---------------------------------------------------------
@@ -381,12 +405,7 @@ def diff_against_oracle(ops, variant: str = "sanitized",
             f"tree mismatch: engine {format_tree(engine_tree)}, "
             f"oracle {format_tree(oracle_tree)}"
         )
-    hit_ops = set()
-    for idx, op in enumerate(ops):
-        if op.kind != "s" or idx not in g.nodes:
-            continue
-        if any(g.edges[eid].mark == "dashed" for eid in g.out_adj[idx]):
-            hit_ops.add(idx)
+    hit_ops = {idx for idx, _, _ in _search_hits(g, ops)}
     for idx, op in enumerate(ops):
         if op.kind != "s":
             continue
@@ -412,16 +431,15 @@ def minimize_ops(ops, variant: str, prog: Optional[Program] = None) -> list:
     return current
 
 
-def run_check(seeds, size: int, constraints: str, variant: str,
-              prog: Optional[Program] = None) -> Optional[Mismatch]:
+def run_check(seeds, size: int, constraints: str,
+              variant: str) -> Optional[Mismatch]:
     """Differential check over seeded workloads; first mismatch wins."""
-    from .oracle import gen_workload
     for seed in seeds:
         ops = gen_workload(seed, size, constraints)
-        reason = diff_against_oracle(ops, variant, prog)
+        reason = diff_against_oracle(ops, variant)
         if reason is not None:
             return Mismatch(ops, f"seed {seed}: {reason}",
-                            minimize_ops(ops, variant, prog))
+                            minimize_ops(ops, variant))
     return None
 
 

@@ -12,12 +12,11 @@ import sys
 
 from .bench import measure, scaling_report
 from .bst import (
-    counterexample_text, diff_against_oracle, format_tree, minimize_ops,
-    program, run_bst, validate_output,
+    counterexample_text, format_tree, run_bst, run_check, validate_output,
 )
 from .errors import DivergenceError, GraphError, ParseError, ValidationError
 from .interp import DEFAULT_MAX_ITERS, Status, run
-from .oracle import CONSTRAINTS, gen_workload
+from .oracle import CONSTRAINTS
 from .rules import MatchStats
 from .text import parse_host, parse_opscript, parse_program, print_host
 
@@ -33,7 +32,7 @@ def _read(path: str) -> str:
 
 
 def _max_iters(args) -> int:
-    if getattr(args, "max_iters", None):
+    if getattr(args, "max_iters", None) is not None:
         return args.max_iters
     env = os.environ.get("RG_MAX_ITERS")
     if env:
@@ -54,11 +53,11 @@ def cmd_run(args) -> int:
     prog = parse_program(_read(args.program))
     g = parse_host(_read(args.host))
     stats = MatchStats()
-    trace = [] if args.trace else None
-    status = run(prog, g, max_iters=_max_iters(args), stats=stats, trace=trace)
-    if trace is not None:
-        for name in trace:
-            print(name)
+    trace = []
+    status = run(prog, g, max_iters=_max_iters(args), stats=stats,
+                 on_apply=trace.append if args.trace else None)
+    for name in trace:
+        print(name)
     print(print_host(g))
     if args.stats:
         _print_stats(stats)
@@ -88,16 +87,10 @@ def cmd_check(args) -> int:
     if args.variant == "faithful" and args.constraints != "faithful-safe":
         print("faithful variant requires --constraints faithful-safe", file=sys.stderr)
         return EXIT_USAGE
-    prog = program(args.variant)
-    for seed in range(args.seeds):
-        ops = gen_workload(seed, args.size, args.constraints)
-        reason = diff_against_oracle(ops, args.variant)
-        if reason is not None:
-            from .bst import Mismatch
-            mm = Mismatch(ops, f"seed {seed}: {reason}",
-                          minimize_ops(ops, args.variant, prog))
-            print(counterexample_text(mm))
-            return EXIT_MISMATCH
+    mm = run_check(range(args.seeds), args.size, args.constraints, args.variant)
+    if mm is not None:
+        print(counterexample_text(mm))
+        return EXIT_MISMATCH
     print(f"check ok: seeds={args.seeds} size={args.size} "
           f"constraints={args.constraints} variant={args.variant}")
     return EXIT_OK

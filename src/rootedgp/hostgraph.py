@@ -115,10 +115,6 @@ class HostGraph:
         self._next_edge = ne
         self._root_seq = rs
 
-    @property
-    def scope_depth(self) -> int:
-        return len(self._frames) - 1
-
     # -- raw store updates (no journaling) ----------------------------------
 
     def _raw_insert_node(self, nid, label, mark, rooted, seq) -> None:
@@ -277,12 +273,6 @@ class HostGraph:
 
     def edge_ids(self) -> list:
         return sorted(self.edges)
-
-    def node(self, nid) -> NodeRec:
-        return self.nodes[nid]
-
-    def edge(self, eid) -> EdgeRec:
-        return self.edges[eid]
 
     # -- copying and comparison ----------------------------------------------
 

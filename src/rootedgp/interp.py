@@ -95,9 +95,6 @@ class Program:
     procs: dict               # name -> Command
     warnings: list = None
 
-    def rule_list(self, names) -> list:
-        return [self.rules[n] for n in names]
-
 
 def validate_program(program: Program) -> list:
     """Name resolution, recursion rejection, break placement, and rule
@@ -173,13 +170,12 @@ def run(
     max_iters: int = DEFAULT_MAX_ITERS,
     stats: Optional[MatchStats] = None,
     on_apply=None,
-    trace: Optional[list] = None,
 ) -> Status:
     """Execute Main over `g`.  `max_iters` caps the total number of loop
     iterations across the whole run; exceeding it raises DivergenceError.
 
-    `trace`, when given, receives the applied rule names in order;
-    `on_apply` is called with each applied rule name.
+    `on_apply`, when given, is called with each applied rule name, in
+    order.
     """
     if stats is None:
         stats = MatchStats()
@@ -188,32 +184,27 @@ def run(
     iters = 0
     SUCCESS, FAILURE, BRK = Status.SUCCESS, Status.FAILURE, Status.BREAK
 
+    def apply(rule) -> bool:
+        m = find_match(rule, g, stats)
+        if m is None:
+            return False
+        apply_match(rule, m, g, stats)
+        if on_apply is not None:
+            on_apply(rule.name)
+        return True
+
     def exec_(cmd) -> Status:
         nonlocal iters
         kind = type(cmd)
         if kind is Call:
+            # A rule call is a one-rule rule set.
             rule = rules.get(cmd.name)
             if rule is None:
                 return exec_(procs[cmd.name])
-            m = find_match(rule, g, stats)
-            if m is None:
-                return FAILURE
-            apply_match(rule, m, g, stats)
-            if trace is not None:
-                trace.append(rule.name)
-            if on_apply is not None:
-                on_apply(rule.name)
-            return SUCCESS
+            return SUCCESS if apply(rule) else FAILURE
         if kind is RuleSet:
             for name in cmd.names:
-                rule = rules[name]
-                m = find_match(rule, g, stats)
-                if m is not None:
-                    apply_match(rule, m, g, stats)
-                    if trace is not None:
-                        trace.append(name)
-                    if on_apply is not None:
-                        on_apply(name)
+                if apply(rules[name]):
                     return SUCCESS
             return FAILURE
         if kind is Seq:
@@ -268,6 +259,7 @@ def run(
         raise TypeError(f"not a command: {cmd!r}")
 
     status = exec_(procs["Main"])
+    del exec_  # exec_'s closure refers to itself and holds g; leave no cycle
     if status is Status.BREAK:
         raise AssertionError("break escaped Main")
     return status

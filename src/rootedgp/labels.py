@@ -58,9 +58,6 @@ class LabelPattern:
             if it[0] == "v":
                 yield it[1]
 
-    def is_constant(self) -> bool:
-        return all(it[0] == "c" for it in self.items)
-
     def __eq__(self, other):
         return isinstance(other, LabelPattern) and self.items == other.items
 
@@ -261,58 +258,23 @@ def eval_cond(cond, assignment: dict, degrees: Optional[DegreeFn] = None) -> boo
     raise TypeError(f"not a condition: {cond!r}")
 
 
-def cond_variables(cond) -> set:
-    """Names of all variables referenced by a condition."""
-    out = set()
-
-    def walk_term(t):
-        k = type(t)
+def cond_refs(cond) -> tuple:
+    """Names of the variables a condition references, and ids of the
+    pattern nodes whose degree it queries."""
+    names, pids = set(), set()
+    stack = [cond]
+    while stack:
+        c = stack.pop()
+        k = type(c)
         if k is VarT:
-            out.add(t.name)
-        elif k is ArithT:
-            walk_term(t.left)
-            walk_term(t.right)
-
-    def walk(c):
-        k = type(c)
-        if k is CmpC:
-            walk_term(c.left)
-            walk_term(c.right)
-        elif k in (AndC, OrC):
-            walk(c.left)
-            walk(c.right)
+            names.add(c.name)
+        elif k is DegT:
+            pids.add(c.pid)
+        elif k in (CmpC, AndC, OrC, ArithT):
+            stack += (c.left, c.right)
         elif k is NotC:
-            walk(c.inner)
-
-    walk(cond)
-    return out
-
-
-def cond_pids(cond) -> set:
-    """Pattern-node ids whose degree the condition queries."""
-    out = set()
-
-    def walk_term(t):
-        k = type(t)
-        if k is DegT:
-            out.add(t.pid)
-        elif k is ArithT:
-            walk_term(t.left)
-            walk_term(t.right)
-
-    def walk(c):
-        k = type(c)
-        if k is CmpC:
-            walk_term(c.left)
-            walk_term(c.right)
-        elif k in (AndC, OrC):
-            walk(c.left)
-            walk(c.right)
-        elif k is NotC:
-            walk(c.inner)
-
-    walk(cond)
-    return out
+            stack.append(c.inner)
+    return names, pids
 
 
 def format_atom(atom) -> str:

@@ -90,11 +90,21 @@ class OracleTree:
         return True
 
     def as_tuple(self):
-        def conv(node):
+        # Post-order with an explicit stack: chains may be deeper than
+        # the interpreter's recursion limit.
+        built = []
+        stack = [(self._top, False)]
+        while stack:
+            node, children_built = stack.pop()
             if node is None:
-                return None
-            return (node.key, conv(node.left), conv(node.right))
-        return conv(self._top)
+                built.append(None)
+            elif children_built:
+                right = built.pop()
+                left = built.pop()
+                built.append((node.key, left, right))
+            else:
+                stack += ((node, True), (node.right, False), (node.left, False))
+        return built[0]
 
     def keys_inorder(self) -> list:
         out = []
@@ -114,39 +124,6 @@ class OracleTree:
         for a, b in zip(ks, ks[1:]):
             if a >= b:
                 raise AssertionError(f"order violated: {a} before {b}")
-
-
-def _from_tuple(t) -> OracleTree:
-    tree = OracleTree()
-
-    def build(tt):
-        if tt is None:
-            return None
-        node = _Node(tt[0])
-        tree.size += 1
-        node.left = build(tt[1])
-        node.right = build(tt[2])
-        return node
-
-    tree._top = build(t)
-    return tree
-
-
-def o_insert(t, key: int):
-    """Functional insert over a tuple tree; returns (tree, inserted)."""
-    tree = _from_tuple(t)
-    inserted = tree.insert(key)
-    return tree.as_tuple(), inserted
-
-
-def o_search(t, key: int) -> bool:
-    return _from_tuple(t).search(key)
-
-
-def o_delete(t, key: int):
-    tree = _from_tuple(t)
-    deleted = tree.delete(key)
-    return tree.as_tuple(), deleted
 
 
 def o_apply(ops):

@@ -27,8 +27,7 @@ from typing import Optional
 from .errors import ValidationError
 from .hostgraph import EDGE_MARKS, NODE_MARKS, HostGraph
 from .labels import (
-    LabelPattern, cond_pids, cond_variables, eval_cond, eval_pattern,
-    undo_trail, unify_into,
+    LabelPattern, cond_refs, eval_cond, eval_pattern, undo_trail, unify_into,
 )
 
 # Anchor preference for unrooted components: rarer marks first.
@@ -66,7 +65,6 @@ class Rule:
     interface: frozenset
     cond: object = None
     # Filled in by validate_rule:
-    fast: bool = False
     plan: list = field(default_factory=list, compare=False, repr=False)
     deleted_pids: list = field(default_factory=list, compare=False, repr=False)
     created_pids: list = field(default_factory=list, compare=False, repr=False)
@@ -205,27 +203,6 @@ def _build_plan(rule: Rule) -> list:
     return plan
 
 
-def _compute_fast(rule: Rule) -> bool:
-    """True iff the lhs is nonempty and every lhs node is undirected-reachable
-    from a rooted lhs node."""
-    lhs = rule.lhs
-    if not lhs.nodes:
-        return False
-    neigh = {pid: set() for pid in lhs.nodes}
-    for pe in lhs.edges:
-        neigh[pe.src].add(pe.tgt)
-        neigh[pe.tgt].add(pe.src)
-    frontier = [pid for pid, pn in lhs.nodes.items() if pn.rooted]
-    reach = set(frontier)
-    while frontier:
-        p = frontier.pop()
-        for q in neigh[p]:
-            if q not in reach:
-                reach.add(q)
-                frontier.append(q)
-    return reach == set(lhs.nodes)
-
-
 def validate_rule(rule: Rule) -> list:
     """Check structural invariants, precompute the search plan and the
     application recipe.  Returns warnings; raises ValidationError on errors.
@@ -282,17 +259,17 @@ def validate_rule(rule: Rule) -> list:
             errors.append(f"rule {rule.name}: rhs edge has wildcard mark")
 
     if rule.cond is not None:
-        for v in sorted(cond_variables(rule.cond)):
+        cond_vars, cond_pids = cond_refs(rule.cond)
+        for v in sorted(cond_vars):
             if v not in lhs_vars:
                 errors.append(f"rule {rule.name}: condition uses unbound variable {v!r}")
-        for pid in sorted(cond_pids(rule.cond)):
+        for pid in sorted(cond_pids):
             if pid not in rule.lhs.nodes:
                 errors.append(f"rule {rule.name}: condition queries unknown node {pid}")
 
     if errors:
         raise ValidationError("; ".join(errors))
 
-    rule.fast = _compute_fast(rule)
     if rule.lhs.nodes and not any(pn.rooted for pn in rule.lhs.nodes.values()):
         warnings.append(f"rule {rule.name}: no rooted node in left-hand side")
 
@@ -456,6 +433,7 @@ def find_match(rule: Rule, g: HostGraph, stats: MatchStats) -> Optional[Match]:
         return None
 
     result = step(0)
+    del step  # step's closure refers to itself; leave no cycle behind
     stats.anchors_tried += anchors_tried
     stats.extension_steps += extensions
     if anchors_tried > stats.max_anchors_per_call:
@@ -498,13 +476,3 @@ def apply_match(rule: Rule, m: Match, g: HostGraph, stats: MatchStats) -> None:
         g.add_edge(imgs[pe.src], imgs[pe.tgt], eval_pattern(pe.label, a), pe.mark)
     stats.applications += 1
     stats.by_rule[rule.name] = stats.by_rule.get(rule.name, 0) + 1
-
-
-def apply_first(rules: list, g: HostGraph, stats: MatchStats) -> Optional[str]:
-    """Try rules in order; apply the first that matches.  Returns its name."""
-    for rule in rules:
-        m = find_match(rule, g, stats)
-        if m is not None:
-            apply_match(rule, m, g, stats)
-            return rule.name
-    return None

@@ -16,6 +16,14 @@ from rootedgp.labels import CmpC, DegT, IntT, LabelPattern, VarT, eval_cond, uni
 from rootedgp.rules import PatternEdge, PatternGraph, PatternNode, Rule, validate_rule
 
 
+def root_anchored(rule) -> bool:
+    """True iff the rule's search plan anchors every lhs component on a
+    root, so matching never scans for a start node.  An empty lhs has no
+    plan and counts as not anchored."""
+    return bool(rule.plan) and all(
+        s[2] == ("roots",) for s in rule.plan if s[0] == "anchor")
+
+
 def _node_ok(pn, rec) -> bool:
     if rec.rooted != pn.rooted:
         return False

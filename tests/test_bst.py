@@ -1,5 +1,6 @@
 import pytest
 
+from rootedgp.bench import build_degenerate_graph, gen_degenerate
 from rootedgp.errors import MalformedTreeError
 from rootedgp.bst import (
     SWAP_RULES, diff_against_oracle, extract_tree, format_tree,
@@ -10,6 +11,8 @@ from rootedgp.hostgraph import HostGraph
 from rootedgp.interp import Status
 from rootedgp.oracle import gen_workload, o_apply
 from rootedgp.text import Op, parse_program
+
+from matchref import root_anchored
 
 SIX = [Op("i", k) for k in [5, 2, 7, 1, 4, 8]]
 SIX_TREE = (5, (2, (1, None, None), (4, None, None)), (7, None, (8, None, None)))
@@ -42,7 +45,7 @@ class TestProgramAssets:
         # Everything anchors on a root except make_root (empty pattern)
         # and the two rules that anchor on the unique green node instead.
         p = program("faithful")
-        slow = {name for name, r in p.rules.items() if not r.fast}
+        slow = {name for name, r in p.rules.items() if not root_anchored(r)}
         assert slow == {"make_root", "root", "add_root"}
 
     def test_only_root_is_warned_anchorless(self):
@@ -225,6 +228,53 @@ class TestExtractTree:
         g.add_edge(green, top)
         g.add_edge(top, g.add_node((5,), "grey"))
         with pytest.raises(MalformedTreeError, match="equals parent"):
+            extract_tree(g)
+
+    def test_chain_deeper_than_recursion_limit(self):
+        t = extract_tree(build_degenerate_graph(10_000))
+        keys = []
+        while t is not None:
+            assert t[1] is None
+            keys.append(t[0])
+            t = t[2]
+        assert keys == list(range(1, 10_001))
+
+    def test_format_chain_deeper_than_recursion_limit(self):
+        text = format_tree(extract_tree(build_degenerate_graph(10_000)))
+        assert text.startswith("(1 () (2 () (3 () ")
+        assert text.endswith("(9999 () (10000))" + ")" * 9998)
+
+    def test_deep_chain_agrees_with_oracle(self):
+        # Nested tuples this deep cannot be compared with ==, which
+        # recurses; their printed forms are compared instead.
+        oracle_tree, _ = o_apply(gen_degenerate(3000))
+        engine_tree = extract_tree(build_degenerate_graph(3000))
+        assert format_tree(oracle_tree) == format_tree(engine_tree)
+
+    def test_first_error_in_preorder_left_before_right(self):
+        # both subtrees are malformed; the left one is reported
+        g = HostGraph()
+        green = g.add_node((), "green")
+        top = g.add_node((5,), "grey")
+        g.add_edge(green, top)
+        left = g.add_node((2,), "grey")
+        right = g.add_node((8,), "grey")
+        g.add_edge(top, right)
+        g.add_edge(top, left)
+        g.add_edge(left, g.add_node(("x",), "grey"))
+        g.add_edge(right, g.add_node(("y",), "grey"))
+        with pytest.raises(MalformedTreeError, match="node 4 has non-key label"):
+            extract_tree(g)
+
+    def test_cycle_rejected(self):
+        g = HostGraph()
+        green = g.add_node((), "green")
+        a = g.add_node((5,), "grey")
+        b = g.add_node((7,), "grey")
+        g.add_edge(green, a)
+        g.add_edge(a, b)
+        g.add_edge(b, a)
+        with pytest.raises(MalformedTreeError, match="cycle through node 1"):
             extract_tree(g)
 
     def test_ignores_dashed_and_red_and_nongrey(self):

@@ -2,7 +2,9 @@ from importlib import resources
 
 import pytest
 
+from rootedgp import bst
 from rootedgp.cli import main
+from rootedgp.text import parse_program
 
 GOLDEN_RUN = (
     '[ (n0, "i":5) (n1(R), "s":5) (n2, empty #green) (n3, 5 #grey) | '
@@ -10,6 +12,24 @@ GOLDEN_RUN = (
 )
 
 GOLDEN_TREE = "(5 (2 (1) (4)) (7 () (8)))"
+
+GOLDEN_TRACE_STATS = "\n".join([
+    "make_root", "insert", "add_root", "next_op", "search", "root", "match",
+    "unroot",
+    GOLDEN_RUN,
+    "anchors_tried 15",
+    "extension_steps 6",
+    "matches_found 8",
+    "applications 8",
+    "rule add_root 1",
+    "rule insert 1",
+    "rule make_root 1",
+    "rule match 1",
+    "rule next_op 1",
+    "rule root 1",
+    "rule search 1",
+    "rule unroot 1",
+]) + "\n"
 
 
 def asset_path(name: str) -> str:
@@ -41,10 +61,7 @@ class TestRun:
                      "--trace", "--stats"])
         out = capsys.readouterr().out
         assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "make_root"
-        assert any(l.startswith("applications ") for l in lines)
-        assert "rule match 1" in lines
+        assert out == GOLDEN_TRACE_STATS
 
     def test_syntax_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.gp2"
@@ -102,6 +119,10 @@ class TestBst:
         assert "violations 0" in out
         assert "garbage 1" in out
 
+    def test_zero_max_iters_aborts(self, capsys):
+        assert main(["bst", asset_path("fig1.ops"), "--max-iters", "0"]) == 1
+        assert "aborted:" in capsys.readouterr().err
+
     def test_faithful_variant_warns(self, capsys):
         main(["bst", asset_path("fig1.ops"), "--variant", "faithful",
               "--print", "tree"])
@@ -120,6 +141,21 @@ class TestCheck:
         code = main(["check", "--seeds", "1", "--variant", "faithful",
                      "--constraints", "sanitized-safe"])
         assert code == 2
+
+    def test_mismatch_prints_minimized_counterexample(self, capsys, monkeypatch):
+        # go_left1 with a loosened guard walks past an exact hit
+        text = bst.asset_text("bst_sanitized.gp2").replace(
+            "where m < n and x < n", "where m <= n and x <= n")
+        monkeypatch.setitem(bst._programs, "sanitized", parse_program(text))
+        code = main(["check", "--seeds", "10", "--size", "30"])
+        assert code == 3
+        assert capsys.readouterr().out == (
+            "seed 0: tree mismatch: engine (3578 (3350) (8965)), oracle (8965)\n"
+            "counterexample (2 ops):\n"
+            "s 8852\n"
+            "i 8965\n"
+            "\n"
+        )
 
     def test_faithful_battery_ok(self, capsys):
         code = main(["check", "--seeds", "3", "--size", "20",

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from rootedgp.errors import DivergenceError, ValidationError
@@ -93,6 +95,35 @@ class TestSemantics:
         p = prog_of(Main=Try(RuleSet(("never",)), FAIL, SKIP))
         g = HostGraph()
         assert run(p, g) is Status.SUCCESS
+
+    def test_rule_set_applies_first_matching_member(self):
+        # members are tried in textual order: never fails, add applies
+        p = prog_of(Main=RuleSet(("never", "add")))
+        g = HostGraph()
+        applied = []
+        assert run(p, g, on_apply=applied.append) is Status.SUCCESS
+        assert applied == ["add"]
+        assert count_nodes(g) == 1
+
+    def test_rule_set_no_member_applies(self):
+        p = prog_of(Main=RuleSet(("never",)))
+        g = HostGraph()
+        applied = []
+        assert run(p, g, on_apply=applied.append) is Status.FAILURE
+        assert applied == []
+        assert count_nodes(g) == 0
+
+    def test_run_leaves_no_cyclic_garbage(self):
+        p = prog_of(Main=Seq((Loop(Call("Inner")), Call("add"))),
+                    Inner=Seq((Call("add"), BREAK)))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                assert run(p, HostGraph()) is Status.SUCCESS
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_divergence_cap(self):
         p = prog_of(Main=Loop(SKIP))

@@ -2,9 +2,7 @@ import random
 
 import pytest
 
-from rootedgp.oracle import (
-    OracleTree, gen_workload, o_apply, o_delete, o_insert, o_search,
-)
+from rootedgp.oracle import OracleTree, gen_workload, o_apply
 from rootedgp.text import Op
 
 SIX_KEYS = [5, 2, 7, 1, 4, 8]
@@ -34,16 +32,6 @@ class TestInsert:
         assert t.as_tuple()[1][2] == (4, (3, None, None), None)
         t.check_order()
 
-    def test_functional_wrapper(self):
-        t, inserted = o_insert(SIX_TREE, 3)
-        assert inserted and sorted([1, 2, 3, 4, 5, 7, 8]) == _inorder(t)
-
-
-def _inorder(t):
-    if t is None:
-        return []
-    return _inorder(t[1]) + [t[0]] + _inorder(t[2])
-
 
 class TestSearch:
     def test_present(self):
@@ -55,7 +43,6 @@ class TestSearch:
 
     def test_empty(self):
         assert OracleTree().search(1) is False
-        assert o_search(None, 1) is False
 
 
 class TestDelete:
@@ -78,10 +65,6 @@ class TestDelete:
         t = build(SIX_KEYS)
         assert t.delete(6) is False
         assert t.as_tuple() == SIX_TREE
-
-    def test_functional_wrapper(self):
-        t, deleted = o_delete(SIX_TREE, 5)
-        assert deleted and _inorder(t) == [1, 2, 4, 7, 8]
 
 
 class TestApply:

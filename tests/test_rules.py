@@ -1,13 +1,17 @@
+import gc
 import random
 
 import pytest
 
 from rootedgp.errors import ValidationError
 from rootedgp.hostgraph import HostGraph
-from rootedgp.rules import MatchStats, apply_first, apply_match, find_match
+from rootedgp.rules import MatchStats, apply_match, find_match
 from rootedgp.text import parse_rule
 
-from matchref import brute_force_exists, check_match_valid, random_host, random_rule
+from matchref import (
+    brute_force_exists, check_match_valid, random_host, random_rule,
+    root_anchored,
+)
 
 GO_RIGHT1 = """
 go_right1(o:char; x,n,m:int)
@@ -34,11 +38,12 @@ def traversal_host(parent_key=5, child_key=7, instr=("s", 8)):
 class TestValidate:
     def test_go_right1_is_fast(self):
         rule = parse_rule(GO_RIGHT1)
-        assert rule.fast is True
+        assert root_anchored(rule)
 
     def test_empty_lhs_is_anchorless_and_valid(self):
         rule = parse_rule("make_root() [ | ] => [ (1, empty #green) | ] interface = {}")
-        assert rule.fast is False  # nothing to anchor on
+        assert rule.plan == []
+        assert not root_anchored(rule)  # nothing to anchor on
 
     def test_rhs_only_variable_rejected(self):
         with pytest.raises(ValidationError):
@@ -194,25 +199,20 @@ class TestApply:
         assert set(g.roots()) == {c, 2}
 
 
-class TestApplyFirst:
-    def test_textual_order_decides(self):
-        right = parse_rule(GO_RIGHT1)
-        left = parse_rule(GO_LEFT1)
-        # target 3 at node 5 with left child 2: only go_left1 applies
-        g = HostGraph()
-        p = g.add_node((5,), "grey", rooted=True)
-        c = g.add_node((2,), "grey")
-        g.add_edge(p, c)
-        g.add_node(("i", 3), rooted=True)
-        stats = MatchStats()
-        assert apply_first([right, left], g, stats) == "go_left1"
-
-    def test_no_rule_applies(self):
-        right = parse_rule(GO_RIGHT1)
-        g = HostGraph()
-        g.add_node((5,), "grey")
-        stats = MatchStats()
-        assert apply_first([right], g, stats) is None
+def test_find_match_leaves_no_cyclic_garbage():
+    from rootedgp.bst import program, run_bst
+    from rootedgp.text import Op
+    rule = program("sanitized").rules["root"]
+    g = run_bst([Op("i", 5), Op("i", 3)]).graph
+    stats = MatchStats()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(200):
+            assert find_match(rule, g, stats) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_brute_force_equivalence_sample():
