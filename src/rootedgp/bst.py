@@ -400,11 +400,10 @@ def diff_against_oracle(ops, variant: str = "sanitized",
     except MalformedTreeError as e:
         return f"malformed tree: {e}"
     oracle_tree, outcomes = o_apply(ops)
-    if engine_tree != oracle_tree:
-        return (
-            f"tree mismatch: engine {format_tree(engine_tree)}, "
-            f"oracle {format_tree(oracle_tree)}"
-        )
+    # Compared as text: == on nested tuples recurses once per tree level.
+    engine_text, oracle_text = format_tree(engine_tree), format_tree(oracle_tree)
+    if engine_text != oracle_text:
+        return f"tree mismatch: engine {engine_text}, oracle {oracle_text}"
     hit_ops = {idx for idx, _, _ in _search_hits(g, ops)}
     for idx, op in enumerate(ops):
         if op.kind != "s":

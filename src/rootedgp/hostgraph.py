@@ -9,6 +9,12 @@ nest strictly (LIFO); committing a scope merges its journal into the parent
 so an enclosing rollback still undoes the committed work.  The journal
 holds inverse operations rather than snapshots: rollback costs O(changes),
 not O(graph).
+
+The root registry is kept in rooting order, least recently rooted first,
+so the matcher reads roots most recent first without sorting.  A new root
+always has the highest root sequence number and goes to the end; only a
+rollback can bring an older root back, and a rollback that does re-sorts
+the registry by sequence number.
 """
 from __future__ import annotations
 
@@ -60,7 +66,7 @@ class HostGraph:
         self.edges: dict = {}
         self.out_adj: dict = {}
         self.in_adj: dict = {}
-        self._rootset: set = set()
+        self._rootset: dict = {}   # rooted ids, least recently rooted first
         self._by_mark: dict = {m: set() for m in NODE_MARKS if m != "none"}
         self._next_node = 0
         self._next_edge = 0
@@ -91,6 +97,7 @@ class HostGraph:
         if token != len(self._frames) - 1 or token < 1:
             raise GraphError(f"non-LIFO rollback of scope {token}")
         entries, nn, ne, rs = self._frames.pop()
+        restored_root = False
         for entry in reversed(entries):
             op = entry[0]
             if op == "+n":
@@ -98,6 +105,8 @@ class HostGraph:
             elif op == "-n":
                 _, nid, label, mark, rooted, seq = entry
                 self._raw_insert_node(nid, label, mark, rooted, seq)
+                if rooted:
+                    restored_root = True
             elif op == "+e":
                 self._raw_remove_edge(entry[1])
             elif op == "-e":
@@ -111,6 +120,12 @@ class HostGraph:
                 self._raw_set_mark(entry[1], entry[2])
             else:  # "rt"
                 self._raw_set_root(entry[1], entry[2], entry[3])
+                if entry[2]:
+                    restored_root = True
+        if restored_root:
+            nodes = self.nodes
+            self._rootset = dict.fromkeys(
+                sorted(self._rootset, key=lambda nid: nodes[nid].root_seq))
         self._next_node = nn
         self._next_edge = ne
         self._root_seq = rs
@@ -122,7 +137,7 @@ class HostGraph:
         self.out_adj[nid] = []
         self.in_adj[nid] = []
         if rooted:
-            self._rootset.add(nid)
+            self._rootset[nid] = None
         if mark != "none":
             self._by_mark[mark].add(nid)
 
@@ -130,7 +145,7 @@ class HostGraph:
         rec = self.nodes.pop(nid)
         del self.out_adj[nid]
         del self.in_adj[nid]
-        self._rootset.discard(nid)
+        self._rootset.pop(nid, None)
         if rec.mark != "none":
             self._by_mark[rec.mark].discard(nid)
 
@@ -157,9 +172,9 @@ class HostGraph:
         rec.rooted = rooted
         rec.root_seq = seq
         if rooted:
-            self._rootset.add(nid)
+            self._rootset[nid] = None
         else:
-            self._rootset.discard(nid)
+            self._rootset.pop(nid, None)
 
     # -- mutations ----------------------------------------------------------
 
@@ -247,11 +262,7 @@ class HostGraph:
 
     def roots_by_recency(self) -> list:
         """Rooted node ids, most recently rooted first."""
-        rs = self._rootset
-        if len(rs) < 2:
-            return list(rs)
-        nodes = self.nodes
-        return sorted(rs, key=lambda nid: -nodes[nid].root_seq)
+        return list(reversed(self._rootset))
 
     def nodes_with_mark(self, mark) -> list:
         return sorted(self._by_mark[mark])
@@ -285,7 +296,7 @@ class HostGraph:
             g.edges[eid] = EdgeRec(rec.src, rec.tgt, rec.label, rec.mark)
         g.out_adj = {nid: list(adj) for nid, adj in self.out_adj.items()}
         g.in_adj = {nid: list(adj) for nid, adj in self.in_adj.items()}
-        g._rootset = set(self._rootset)
+        g._rootset = dict(self._rootset)
         g._by_mark = {m: set(s) for m, s in self._by_mark.items()}
         g._next_node = self._next_node
         g._next_edge = self._next_edge
@@ -306,10 +317,14 @@ class HostGraph:
 
     def check_registries(self) -> None:
         """Recompute roots, mark index, and adjacency from the stores; raise
-        GraphError on any divergence.  Test support."""
+        GraphError on any divergence, or if the root registry is not in
+        rooting order.  Test support."""
         roots = {nid for nid, rec in self.nodes.items() if rec.rooted}
-        if roots != self._rootset:
+        if roots != self._rootset.keys():
             raise GraphError("root registry out of sync")
+        seqs = [self.nodes[nid].root_seq for nid in self._rootset]
+        if seqs != sorted(seqs):
+            raise GraphError("root registry out of rooting order")
         for mark, members in self._by_mark.items():
             expect = {nid for nid, rec in self.nodes.items() if rec.mark == mark}
             if expect != members:

@@ -125,11 +125,6 @@ def unify_into(pattern: LabelPattern, label, assignment: dict, trail: list) -> b
     return bound == mid
 
 
-def undo_trail(assignment: dict, trail: list, upto: int = 0) -> None:
-    while len(trail) > upto:
-        del assignment[trail.pop()]
-
-
 def unify_label(pattern: LabelPattern, label, partial: Optional[dict] = None) -> Optional[dict]:
     """Match `pattern` against `label`, extending a copy of `partial`.
 

@@ -12,6 +12,16 @@ candidates are enumerated from the adjacency of already-matched nodes
 only, so matching a rule whose pattern hangs off roots or rare marks
 costs O(degree), independent of host size.
 
+The plan is not interpreted.  On a rule's first match or application it
+is compiled, with compile() and exec(), into two straight-line Python
+functions, as GP 2's compiler emits one C matcher per rule: the matcher
+runs one nested loop per plan step and tests rootedness, marks, constant
+atoms, variable kinds, repeated variables, injectivity, the condition and
+the dangling condition as comparisons on local variables; the rewriter
+performs the rule's deletions, relabellings and creations with the rhs
+labels built in place.  validate_rule drops both functions, so an edited
+rule is compiled afresh.
+
 A match must be injective on nodes and edges, preserve rootedness in both
 directions, satisfy mark compatibility (the `any` wildcard accepts the
 four concrete marks but not unmarked), unify all labels under one
@@ -27,8 +37,11 @@ from typing import Optional
 from .errors import ValidationError
 from .hostgraph import EDGE_MARKS, NODE_MARKS, HostGraph
 from .labels import (
-    LabelPattern, cond_refs, eval_cond, eval_pattern, undo_trail, unify_into,
+    AndC, ArithT, CmpC, DegT, IntT, LabelPattern, NotC, OrC, VarT, cond_refs,
 )
+# Not called here (compiled rules do this work inline); perfbench/tracing.py
+# wraps these three names in this module's namespace.
+from .labels import eval_cond, eval_pattern, unify_into  # noqa: F401
 
 # Anchor preference for unrooted components: rarer marks first.
 _MARK_PRIORITY = {"green": 0, "red": 1, "blue": 2, "grey": 3}
@@ -69,6 +82,9 @@ class Rule:
     deleted_pids: list = field(default_factory=list, compare=False, repr=False)
     created_pids: list = field(default_factory=list, compare=False, repr=False)
     iface_ops: list = field(default_factory=list, compare=False, repr=False)
+    # Compiled from the above on first use; validate_rule resets them.
+    matcher: object = field(default=None, compare=False, repr=False)
+    rewriter: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -282,165 +298,390 @@ def validate_rule(rule: Rule) -> list:
         rn = rule.rhs.nodes[pid]
         same_label = ln.label == rn.label
         rule.iface_ops.append((pid, rn, same_label))
+    rule.matcher = rule.rewriter = None
     return warnings
+
+
+# Python allows 20 statically nested blocks in one function and every plan
+# step is one loop, so a longer plan continues in a helper function.
+_MAX_LOOPS = 16
+
+_PY_CMP = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+_KIND_FAILS = {          # test on local {0} that rejects an atom of the kind
+    "int": "type({0}) is not int",
+    "char": "type({0}) is not str or len({0}) != 1",
+    "string": "type({0}) is not str",
+    "atom": None,
+}
+
+
+class _Codegen:
+    """Source of one rule's matcher and rewriter.
+
+    Rule data enters the source only as integers and as the repr() of exact
+    int, str and bool constants (atoms, marks, the rule name).  Variable
+    names and any other constant are passed in the namespace under indexed
+    names; variables, host nodes and host edges live in indexed locals.
+    """
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.ns = {"Match": Match}
+        self.funcs = []        # finished function sources
+        self.stack = []        # per open function: (caller's lines, is_top)
+        self.lines = []
+        self.depth = 1         # indentation of the next line
+        self.loops = 0         # loops open in the current function
+        self.fail = "return None"
+        self.vars = {}         # variable name -> (local, kind of its binding slot)
+        self.nodes = {}        # pid -> (local, pattern node)
+        self.edges = []        # (lhs edge index, local, pattern edge)
+        self.sources = {}      # anchor source -> local holding its candidates
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def lit(self, value) -> str:
+        if type(value) in (int, str, bool):
+            return repr(value)
+        return self.ref(value)
+
+    def ref(self, value) -> str:
+        name = f"K{len(self.ns)}"
+        self.ns[name] = value
+        return name
+
+    # -- matcher --------------------------------------------------------------
+
+    def matcher(self) -> None:
+        plan = self.rule.plan
+        self.open_function("match", "g, stats", top=True)
+        self.emit("nodes = g.nodes")
+        self.emit("edges = g.edges")
+        self.emit("out_adj = g.out_adj")
+        self.emit("in_adj = g.in_adj")
+        for s in plan:
+            if s[0] == "anchor" and s[2] not in self.sources:
+                local = self.sources[s[2]] = f"c{len(self.sources)}"
+                if s[2][0] == "roots":
+                    call = "g.roots_by_recency()"
+                elif s[2][0] == "mark":
+                    call = f"g.nodes_with_mark({self.lit(s[2][1])})"
+                else:
+                    call = "g.node_ids()"
+                self.emit(f"{local} = {call}")
+        if plan:
+            self.emit("na = 0")
+            self.emit("nx = 0")
+        for i, s in enumerate(plan):
+            if self.loops == _MAX_LOOPS:
+                self.continue_in_helper()
+            if s[0] == "anchor":
+                self.anchor(i, s[1], s[2])
+            elif s[0] == "extend":
+                self.extend(*s[1:])
+            else:
+                self.close(s[1])
+        self.finish()
+        while self.stack:
+            self.close_function()
+
+    def open_function(self, name: str, params: str, top: bool) -> None:
+        self.stack.append((self.lines, top))
+        self.lines = [f"def {name}({params}):"]
+        self.depth = 1
+        self.loops = 0
+        self.fail = "return None" if top else "return None, nx"
+        if not top:
+            self.emit("nx = 0")
+
+    def close_function(self) -> None:
+        self.depth = 1
+        self.return_("None")
+        self.funcs.append("\n".join(self.lines))
+        self.lines, _ = self.stack.pop()
+
+    def return_(self, result: str) -> None:
+        """Leave the current function with `result`, settling the counters."""
+        top = self.stack[-1][1]
+        if not top:
+            self.emit(f"return {result}, nx")
+            return
+        if self.rule.plan:
+            self.emit("stats.anchors_tried += na")
+            self.emit("stats.extension_steps += nx")
+            self.emit("if na > stats.max_anchors_per_call:")
+            self.emit("    stats.max_anchors_per_call = na")
+            self.emit("if nx > stats.max_extensions_per_call:")
+            self.emit("    stats.max_extensions_per_call = nx")
+        self.emit(f"return {result}")
+
+    def continue_in_helper(self) -> None:
+        live = ["stats", "nodes", "edges", "out_adj", "in_adj"]
+        live += self.sources.values()
+        live += [local for local, _ in self.nodes.values()]
+        live += [local for _, local, _ in self.edges]
+        live += [local for local, _ in self.vars.values()]
+        name = f"cont{len(self.stack)}"
+        args = ", ".join(live)
+        self.emit(f"m, k = {name}({args})")
+        self.emit("nx += k")
+        self.emit("if m is not None:")
+        self.depth += 1
+        self.return_("m")
+        self.open_function(name, args, top=False)
+
+    def loop(self, var: str, iterable: str, counter: str) -> None:
+        self.emit(f"for {var} in {iterable}:")
+        self.depth += 1
+        self.loops += 1
+        self.fail = "continue"
+        self.emit(f"{counter} += 1")
+
+    def anchor(self, i: int, pid, source: tuple) -> None:
+        local = f"n{len(self.nodes)}"
+        self.loop(local, self.sources[source], "na" if i == 0 else "nx")
+        self.emit(f"r = nodes[{local}]")
+        # The mark index holds exactly the nodes with that mark.
+        self.bind_node(pid, local, test_mark=source[0] != "mark")
+
+    def extend(self, eidx: int, known, new, use_out: bool) -> None:
+        pe = self.rule.lhs.edges[eidx]
+        e = f"e{len(self.edges)}"
+        adj = "out_adj" if use_out else "in_adj"
+        self.loop(e, f"{adj}[{self.nodes[known][0]}]", "nx")
+        self.test_unused(e, [local for _, local, _ in self.edges])
+        self.emit(f"r = edges[{e}]")
+        self.test_edge(pe)
+        local = f"n{len(self.nodes)}"
+        self.emit(f"{local} = r.{'tgt' if use_out else 'src'}")
+        self.emit(f"r = nodes[{local}]")
+        self.bind_node(new, local, test_mark=True)
+        self.edges.append((eidx, e, pe))
+
+    def close(self, eidx: int) -> None:
+        pe = self.rule.lhs.edges[eidx]
+        e = f"e{len(self.edges)}"
+        self.loop(e, f"out_adj[{self.nodes[pe.src][0]}]", "nx")
+        self.test_unused(e, [local for _, local, _ in self.edges])
+        self.emit(f"r = edges[{e}]")
+        self.emit(f"if r.tgt != {self.nodes[pe.tgt][0]}: {self.fail}")
+        self.test_edge(pe)
+        self.edges.append((eidx, e, pe))
+
+    def test_unused(self, local: str, bound: list) -> None:
+        if bound:
+            self.emit(f"if {local} in ({', '.join(bound)},): {self.fail}")
+
+    def test_mark(self, mark) -> None:
+        if mark == "any":
+            self.emit(f"if r.mark == 'none': {self.fail}")
+        else:
+            self.emit(f"if r.mark != {self.lit(mark)}: {self.fail}")
+
+    def test_edge(self, pe: PatternEdge) -> None:
+        self.test_mark(pe.mark)
+        self.emit("lab = r.label")
+        self.unify(pe.label)
+
+    def bind_node(self, pid, local: str, test_mark: bool) -> None:
+        pn = self.rule.lhs.nodes[pid]
+        self.emit(f"if r.rooted != {self.lit(pn.rooted)}: {self.fail}")
+        if test_mark:
+            self.test_mark(pn.mark)
+        self.test_unused(local, [other for other, _ in self.nodes.values()])
+        self.emit("lab = r.label")
+        self.unify(pn.label)
+        self.nodes[pid] = (local, pn)
+
+    def unify(self, pattern: LabelPattern) -> None:
+        """Test `lab` against the pattern, binding new variables in order:
+        prefix, suffix from the end, then the list slot."""
+        items = pattern.items
+        n = len(items)
+        la = pattern.list_at
+        if la is None:
+            self.emit(f"if len(lab) != {n}: {self.fail}")
+            for i, item in enumerate(items):
+                self.scalar(item, f"lab[{i}]")
+            return
+        suffix = n - la - 1
+        if n > 1:
+            self.emit(f"if len(lab) < {n - 1}: {self.fail}")
+        for i in range(la):
+            self.scalar(items[i], f"lab[{i}]")
+        for j in range(suffix):
+            self.scalar(items[n - 1 - j], f"lab[{-1 - j}]")
+        mid = f"lab[{la}:{-suffix}]" if suffix else f"lab[{la}:]" if la else "lab"
+        name = items[la][1]
+        if name in self.vars:
+            self.emit(f"if {mid} != {self.vars[name][0]}: {self.fail}")
+        else:
+            local = self.new_var(name, "list")
+            self.emit(f"{local} = {mid}")
+
+    def scalar(self, item: tuple, atom: str) -> None:
+        if item[0] == "c":
+            c = self.lit(item[1])
+            t = type(item[1]).__name__ if type(item[1]) in (int, str) else f"type({c})"
+            self.emit(f"a = {atom}")
+            self.emit(f"if a != {c} or type(a) is not {t}: {self.fail}")
+            return
+        _, name, kind = item
+        if kind not in _KIND_FAILS:
+            raise ValueError(f"not a scalar kind: {kind}")
+        fails = _KIND_FAILS[kind]
+        if name not in self.vars:
+            local = self.new_var(name, kind)
+            self.emit(f"{local} = {atom}")
+            if fails:
+                self.emit(f"if {fails.format(local)}: {self.fail}")
+            return
+        local = self.vars[name][0]
+        self.emit(f"a = {atom}")
+        same = f"a != {local} or type(a) is not type({local})"
+        test = f"{fails.format('a')} or {same}" if fails else same
+        self.emit(f"if {test}: {self.fail}")
+
+    def new_var(self, name: str, kind: str) -> str:
+        local = f"v{len(self.vars)}"
+        self.vars[name] = (local, kind)
+        return local
+
+    def finish(self) -> None:
+        rule = self.rule
+        if rule.cond is not None:
+            self.emit(f"if not {self.cond(rule.cond)}: {self.fail}")
+        # Matched edges are distinct, so a deleted node has no unmatched
+        # incident edge iff its degrees equal its matched edge counts.
+        for pid in rule.deleted_pids:
+            local = self.nodes[pid][0]
+            n_in = sum(1 for pe in rule.lhs.edges if pe.tgt == pid)
+            n_out = sum(1 for pe in rule.lhs.edges if pe.src == pid)
+            self.emit(f"if len(in_adj[{local}]) != {n_in} or "
+                      f"len(out_adj[{local}]) != {n_out}: {self.fail}")
+        self.emit("stats.matches_found += 1")
+        nmap = ", ".join(f"{self.lit(pid)}: {local}"
+                         for pid, (local, _) in self.nodes.items())
+        emap = ", ".join(f"{eidx}: {local}" for eidx, local, _ in self.edges)
+        amap = ", ".join(f"{self.ref(name)}: {local}"
+                         for name, (local, _) in self.vars.items())
+        self.emit(f"m = Match({{{nmap}}}, {{{emap}}}, {{{amap}}})")
+        self.return_("m")
+
+    def cond(self, c) -> str:
+        k = type(c)
+        if k is CmpC:
+            guards = []
+            for name in cond_refs(c)[0]:
+                local, kind = self.vars[name]
+                if kind == "atom":
+                    guards.append(f"type({local}) is int")
+                elif kind != "int":
+                    return "False"    # a non-int binding fails the comparison
+            test = f"{self.term(c.left)} {_PY_CMP[c.op]} {self.term(c.right)}"
+            return "(" + " and ".join(sorted(guards) + [test]) + ")"
+        if k is AndC:
+            return f"({self.cond(c.left)} and {self.cond(c.right)})"
+        if k is OrC:
+            return f"({self.cond(c.left)} or {self.cond(c.right)})"
+        if k is NotC:
+            return f"(not {self.cond(c.inner)})"
+        raise TypeError(f"not a condition: {c!r}")
+
+    def term(self, t) -> str:
+        k = type(t)
+        if k is IntT:
+            return self.lit(t.value)
+        if k is VarT:
+            return self.vars[t.name][0]
+        if k is ArithT:
+            op = "+" if t.op == "+" else "-"
+            return f"({self.term(t.left)} {op} {self.term(t.right)})"
+        if k is DegT:
+            adj = "out_adj" if t.fn == "outdeg" else "in_adj"
+            return f"len({adj}[{self.nodes[t.pid][0]}])"
+        raise TypeError(f"not a term: {t!r}")
+
+    # -- rewriter -------------------------------------------------------------
+
+    def rewriter(self) -> None:
+        rule = self.rule
+        self.vars = {}
+        self.lines = []
+        self.depth = 1
+        if rule.lhs.edges:
+            self.emit("for eid in m.edges.values():")
+            self.emit("    g.delete_edge(eid)")
+        for pid in rule.deleted_pids:
+            self.emit(f"g.delete_node(n[{self.lit(pid)}])")
+        imgs = {}
+        if rule.iface_ops:
+            self.emit("nodes = g.nodes")
+        for pid, rn, same_label in rule.iface_ops:
+            h = imgs[pid] = f"h{len(imgs)}"
+            self.emit(f"{h} = n[{self.lit(pid)}]")
+            self.emit(f"r = nodes[{h}]")
+            if not same_label:
+                self.emit(f"lab = {self.build(rn.label)}")
+                self.emit(f"if lab != r.label: g.set_label({h}, lab)")
+            if rn.mark != "any":
+                mark = self.lit(rn.mark)
+                self.emit(f"if r.mark != {mark}: g.set_mark({h}, {mark})")
+            rooted = self.lit(rn.rooted)
+            self.emit(f"if r.rooted != {rooted}: g.set_root({h}, {rooted})")
+        for pid in rule.created_pids:
+            rn = rule.rhs.nodes[pid]
+            h = imgs[pid] = f"h{len(imgs)}"
+            self.emit(f"{h} = g.add_node({self.build(rn.label)}, "
+                      f"{self.lit(rn.mark)}, {self.lit(rn.rooted)})")
+        for pe in rule.rhs.edges:
+            self.emit(f"g.add_edge({imgs[pe.src]}, {imgs[pe.tgt]}, "
+                      f"{self.build(pe.label)}, {self.lit(pe.mark)})")
+        self.emit("stats.applications += 1")
+        self.emit("by_rule = stats.by_rule")
+        name = self.lit(rule.name)
+        self.emit(f"by_rule[{name}] = by_rule.get({name}, 0) + 1")
+        head = ["def rewrite(m, g, stats):", "    n = m.nodes"]
+        if self.vars:
+            head.append("    a = m.assignment")
+            head += [f"    {local} = a[{self.ref(name)}]"
+                     for name, (local, _) in self.vars.items()]
+        self.funcs.append("\n".join(head + self.lines))
+
+    def build(self, pattern: LabelPattern) -> str:
+        """Tuple display instantiating the pattern; list variables splice."""
+        parts = []
+        for item in pattern.items:
+            if item[0] == "c":
+                parts.append(self.lit(item[1]))
+                continue
+            name, kind = item[1], item[2]
+            if name not in self.vars:
+                self.new_var(name, kind)
+            local = self.vars[name][0]
+            parts.append(f"*{local}" if kind == "list" else local)
+        if len(parts) == 1:
+            return f"({parts[0]},)"
+        return f"({', '.join(parts)})"
+
+
+def _compile(rule: Rule) -> None:
+    gen = _Codegen(rule)
+    gen.matcher()
+    gen.rewriter()
+    source = "\n\n".join(gen.funcs) + "\n"
+    exec(compile(source, f"<rule {rule.name!r}>", "exec"), gen.ns)
+    rule.matcher = gen.ns["match"]
+    rule.rewriter = gen.ns["rewrite"]
 
 
 def find_match(rule: Rule, g: HostGraph, stats: MatchStats) -> Optional[Match]:
     """First match of `rule` in `g` under the fixed search order, or None."""
-    lhs = rule.lhs
-    if not lhs.nodes:
-        if rule.cond is not None and not eval_cond(rule.cond, {}, None):
-            return None
-        stats.matches_found += 1
-        return Match({}, {}, {})
-
-    plan = rule.plan
-    nsteps = len(plan)
-    nodes = g.nodes
-    edges = g.edges
-    nmap: dict = {}
-    emap: dict = {}
-    used_nodes: set = set()
-    used_edges: set = set()
-    assignment: dict = {}
-    anchors_tried = 0
-    extensions = 0
-
-    def bind_node(pn, nid, trail) -> bool:
-        rec = nodes[nid]
-        if rec.rooted != pn.rooted:
-            return False
-        pm = pn.mark
-        if pm == "any":
-            if rec.mark == "none":
-                return False
-        elif rec.mark != pm:
-            return False
-        if nid in used_nodes:
-            return False
-        if not unify_into(pn.label, rec.label, assignment, trail):
-            return False
-        nmap[pn.pid] = nid
-        used_nodes.add(nid)
-        return True
-
-    def unbind_node(pid, nid):
-        del nmap[pid]
-        used_nodes.discard(nid)
-
-    def edge_compatible(pe, rec, trail) -> bool:
-        pm = pe.mark
-        if pm == "any":
-            if rec.mark == "none":
-                return False
-        elif rec.mark != pm:
-            return False
-        return unify_into(pe.label, rec.label, assignment, trail)
-
-    def finish() -> Optional[Match]:
-        if rule.cond is not None:
-            def degrees(fn, pid):
-                return g.outdeg(nmap[pid]) if fn == "outdeg" else g.indeg(nmap[pid])
-            if not eval_cond(rule.cond, assignment, degrees):
-                return None
-        for pid in rule.deleted_pids:
-            h = nmap[pid]
-            for eid in g.in_adj[h]:
-                if eid not in used_edges:
-                    return None
-            for eid in g.out_adj[h]:
-                if eid not in used_edges:
-                    return None
-        stats.matches_found += 1
-        return Match(dict(nmap), dict(emap), dict(assignment))
-
-    def step(i) -> Optional[Match]:
-        nonlocal anchors_tried, extensions
-        if i == nsteps:
-            return finish()
-        s = plan[i]
-        kind = s[0]
-        if kind == "anchor":
-            _, pid, source = s
-            if source[0] == "roots":
-                candidates = g.roots_by_recency()
-            elif source[0] == "mark":
-                candidates = g.nodes_with_mark(source[1])
-            else:
-                candidates = g.node_ids()
-            pn = lhs.nodes[pid]
-            first = i == 0
-            for nid in candidates:
-                if first:
-                    anchors_tried += 1
-                else:
-                    extensions += 1
-                trail: list = []
-                if bind_node(pn, nid, trail):
-                    m = step(i + 1)
-                    if m is not None:
-                        return m
-                    unbind_node(pid, nid)
-                undo_trail(assignment, trail)
-            return None
-        if kind == "extend":
-            _, eidx, known_pid, new_pid, use_out = s
-            pe = lhs.edges[eidx]
-            h = nmap[known_pid]
-            pn = lhs.nodes[new_pid]
-            adj = g.out_adj[h] if use_out else g.in_adj[h]
-            for eid in list(adj):
-                extensions += 1
-                if eid in used_edges:
-                    continue
-                rec = edges[eid]
-                trail: list = []
-                if edge_compatible(pe, rec, trail):
-                    other = rec.tgt if use_out else rec.src
-                    if bind_node(pn, other, trail):
-                        emap[eidx] = eid
-                        used_edges.add(eid)
-                        m = step(i + 1)
-                        if m is not None:
-                            return m
-                        del emap[eidx]
-                        used_edges.discard(eid)
-                        unbind_node(new_pid, other)
-                undo_trail(assignment, trail)
-            return None
-        # close: both endpoints already matched
-        _, eidx = s
-        pe = lhs.edges[eidx]
-        src_h = nmap[pe.src]
-        tgt_h = nmap[pe.tgt]
-        for eid in list(g.out_adj[src_h]):
-            extensions += 1
-            if eid in used_edges:
-                continue
-            rec = edges[eid]
-            if rec.tgt != tgt_h:
-                continue
-            trail: list = []
-            if edge_compatible(pe, rec, trail):
-                emap[eidx] = eid
-                used_edges.add(eid)
-                m = step(i + 1)
-                if m is not None:
-                    return m
-                del emap[eidx]
-                used_edges.discard(eid)
-            undo_trail(assignment, trail)
-        return None
-
-    result = step(0)
-    del step  # step's closure refers to itself; leave no cycle behind
-    stats.anchors_tried += anchors_tried
-    stats.extension_steps += extensions
-    if anchors_tried > stats.max_anchors_per_call:
-        stats.max_anchors_per_call = anchors_tried
-    if extensions > stats.max_extensions_per_call:
-        stats.max_extensions_per_call = extensions
-    return result
+    if rule.matcher is None:
+        _compile(rule)
+    return rule.matcher(g, stats)
 
 
 def apply_match(rule: Rule, m: Match, g: HostGraph, stats: MatchStats) -> None:
@@ -452,27 +693,6 @@ def apply_match(rule: Rule, m: Match, g: HostGraph, stats: MatchStats) -> None:
     per the rhs, and non-interface rhs nodes are created.  Every mutation
     goes through the journal, so the application rolls back cleanly.
     """
-    a = m.assignment
-    for eid in m.edges.values():
-        g.delete_edge(eid)
-    for pid in rule.deleted_pids:
-        g.delete_node(m.nodes[pid])
-    imgs = dict(m.nodes)
-    for pid, rn, same_label in rule.iface_ops:
-        nid = imgs[pid]
-        rec = g.nodes[nid]
-        if not same_label:
-            new_label = eval_pattern(rn.label, a)
-            if new_label != rec.label:
-                g.set_label(nid, new_label)
-        if rn.mark != "any" and rn.mark != rec.mark:
-            g.set_mark(nid, rn.mark)
-        if rn.rooted != rec.rooted:
-            g.set_root(nid, rn.rooted)
-    for pid in rule.created_pids:
-        rn = rule.rhs.nodes[pid]
-        imgs[pid] = g.add_node(eval_pattern(rn.label, a), rn.mark, rn.rooted)
-    for pe in rule.rhs.edges:
-        g.add_edge(imgs[pe.src], imgs[pe.tgt], eval_pattern(pe.label, a), pe.mark)
-    stats.applications += 1
-    stats.by_rule[rule.name] = stats.by_rule.get(rule.name, 0) + 1
+    if rule.rewriter is None:
+        _compile(rule)
+    rule.rewriter(m, g, stats)

@@ -136,27 +136,33 @@ _NODE_MARKS = ["none", "none", "none", "grey", "green", "red", "blue"]
 _EDGE_MARKS = ["none", "none", "none", "dashed", "red", "green", "blue"]
 
 
-def random_host(rng: random.Random, max_nodes: int = 6, max_edges: int = 7) -> HostGraph:
+def random_host(rng: random.Random, max_nodes: int = 6, max_edges: int = 7,
+                node_labels=_NODE_LABELS, edge_labels=_EDGE_LABELS) -> HostGraph:
     g = HostGraph()
     n = rng.randint(0, max_nodes)
     ids = [
-        g.add_node(rng.choice(_NODE_LABELS), rng.choice(_NODE_MARKS),
+        g.add_node(rng.choice(node_labels), rng.choice(_NODE_MARKS),
                    rng.random() < 0.35)
         for _ in range(n)
     ]
     if ids:
         for _ in range(rng.randint(0, max_edges)):
             g.add_edge(rng.choice(ids), rng.choice(ids),
-                       rng.choice(_EDGE_LABELS), rng.choice(_EDGE_MARKS))
+                       rng.choice(edge_labels), rng.choice(_EDGE_MARKS))
     return g
 
 
-def _random_pattern(rng: random.Random, kinds: dict, allow_list: bool) -> LabelPattern:
+_ATOMS = [0, 1, 2, 3, "a", "b"]
+_KINDS = {"vi": "int", "va": "atom", "vc": "char", "vl": "list", "vj": "int"}
+
+
+def _random_pattern(rng: random.Random, kinds: dict, atoms: list,
+                    allow_list: bool) -> LabelPattern:
     items = []
     used_list = False
     for _ in range(rng.randint(0, 2)):
         if rng.random() < 0.5:
-            items.append(("c", rng.choice([0, 1, 2, 3, "a", "b"])))
+            items.append(("c", rng.choice(atoms)))
         else:
             pool = [(n, k) for n, k in kinds.items()
                     if k != "list" or (allow_list and not used_list)]
@@ -167,15 +173,14 @@ def _random_pattern(rng: random.Random, kinds: dict, allow_list: bool) -> LabelP
     return LabelPattern(items)
 
 
-def random_rule(rng: random.Random) -> Rule:
-    kinds = {"vi": "int", "va": "atom", "vc": "char", "vl": "list", "vj": "int"}
+def random_rule(rng: random.Random, kinds: dict = _KINDS, atoms: list = _ATOMS) -> Rule:
     n = rng.randint(0, 3)
     pids = list(range(1, n + 1))
     lhs = PatternGraph()
     for pid in pids:
         lhs.nodes[pid] = PatternNode(
             pid,
-            _random_pattern(rng, kinds, allow_list=True),
+            _random_pattern(rng, kinds, atoms, allow_list=True),
             rng.choice(_NODE_MARKS + ["any"]),
             rng.random() < 0.4,
         )
@@ -183,7 +188,7 @@ def random_rule(rng: random.Random) -> Rule:
         for _ in range(rng.randint(0, 3)):
             lhs.edges.append(PatternEdge(
                 rng.choice(pids), rng.choice(pids),
-                _random_pattern(rng, kinds, allow_list=True),
+                _random_pattern(rng, kinds, atoms, allow_list=True),
                 rng.choice(_EDGE_MARKS + ["any"]),
             ))
     interface = {p for p in pids if rng.random() < 0.6}

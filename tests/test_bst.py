@@ -1,16 +1,17 @@
 import pytest
 
+from rootedgp import bst
 from rootedgp.bench import build_degenerate_graph, gen_degenerate
 from rootedgp.errors import MalformedTreeError
 from rootedgp.bst import (
-    SWAP_RULES, diff_against_oracle, extract_tree, format_tree,
+    SWAP_RULES, asset_text, diff_against_oracle, extract_tree, format_tree,
     garbage_nodes, go_apps, minimize_ops, program, run_bst, validate_output,
     variant_delta,
 )
 from rootedgp.hostgraph import HostGraph
 from rootedgp.interp import Status
 from rootedgp.oracle import gen_workload, o_apply
-from rootedgp.text import Op, parse_program
+from rootedgp.text import Op, parse_opscript, parse_program
 
 from matchref import root_anchored
 
@@ -361,3 +362,75 @@ class TestDifferential:
         minimized = minimize_ops(tripped, "sanitized", broken)
         assert 0 < len(minimized) <= len(tripped)
         assert diff_against_oracle(minimized, prog=broken) is not None
+
+    def test_deep_trees_compare_without_recursion(self, monkeypatch):
+        # Equal 5000-deep chains, built apart so no comparison can stop at
+        # a shared subtree; == on nested tuples would recurse 5000 levels.
+        def chain(n):
+            t = None
+            for key in range(n, 0, -1):
+                t = (key, None, t)
+            return t
+
+        monkeypatch.setattr(bst, "run", lambda prog, g, stats: Status.SUCCESS)
+        monkeypatch.setattr(bst, "extract_tree", lambda g: chain(5000))
+        monkeypatch.setattr(bst, "o_apply", lambda ops: (chain(5000), []))
+        assert diff_against_oracle([]) is None
+
+
+def _counters(stats):
+    return {
+        "anchors_tried": stats.anchors_tried,
+        "extension_steps": stats.extension_steps,
+        "matches_found": stats.matches_found,
+        "applications": stats.applications,
+        "by_rule": stats.by_rule,
+        "max_anchors_per_call": stats.max_anchors_per_call,
+        "max_extensions_per_call": stats.max_extensions_per_call,
+    }
+
+
+class TestCounterGolden:
+    """Every matching counter of two fixed runs, pinned: the search order
+    and the places the counters are incremented are part of the engine's
+    contract."""
+
+    def test_fig1_sanitized(self):
+        ops = parse_opscript(asset_text("fig1.ops"))
+        r = run_bst(ops, "sanitized")
+        assert r.status is Status.SUCCESS
+        assert _counters(r.stats) == {
+            "anchors_tried": 66,
+            "extension_steps": 67,
+            "matches_found": 26,
+            "applications": 26,
+            "by_rule": {
+                "add_leaf": 5, "add_root": 1, "go_left1": 2, "go_right1": 1,
+                "insert": 6, "make_root": 1, "next_op": 5, "root": 5,
+            },
+            "max_anchors_per_call": 2,
+            "max_extensions_per_call": 6,
+        }
+
+    def test_faithful_safe_workload(self):
+        # Under the faithful variant every delete leaves a stale root, so
+        # this run also pins the root-recency order of anchor candidates.
+        ops = gen_workload(7, 200, "faithful-safe")
+        r = run_bst(ops, "faithful")
+        assert r.status is Status.SUCCESS
+        assert _counters(r.stats) == {
+            "anchors_tried": 40748,
+            "extension_steps": 235503,
+            "matches_found": 1723,
+            "applications": 1723,
+            "by_rule": {
+                "add_leaf": 141, "add_root": 1, "delete": 58,
+                "delete_leaf": 28, "delete_midl": 30, "go_left1": 375,
+                "go_left2": 20, "go_right1": 452, "go_right2": 37,
+                "insert": 142, "make_root": 1, "next_op": 199, "root": 199,
+                "save_node": 20, "swap2": 5, "swap3": 5, "swap4": 2,
+                "swap5": 3, "swap6": 5,
+            },
+            "max_anchors_per_call": 60,
+            "max_extensions_per_call": 3540,
+        }

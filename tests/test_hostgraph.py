@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootedgp.errors import GraphError
-from rootedgp.hostgraph import HostGraph
+from rootedgp.hostgraph import NODE_MARKS, HostGraph
 
 
 def test_add_node_defaults_do_not_root():
@@ -112,6 +113,17 @@ def test_roots_by_recency():
     assert g.roots_by_recency() == [ids[2], ids[0], ids[1]]
 
 
+def test_rollback_restores_unrooted_root_to_its_recency_place():
+    g = HostGraph()
+    a = g.add_node((1,), rooted=True)
+    b = g.add_node((2,), rooted=True)
+    t = g.begin_scope()
+    g.set_root(a, False)
+    g.rollback_scope(t)
+    assert g.roots_by_recency() == [b, a]
+    g.check_registries()
+
+
 def test_clone_is_independent():
     g = HostGraph()
     a = g.add_node((1,), "grey", rooted=True)
@@ -197,3 +209,67 @@ def test_registry_coherence_small_sequences():
         for _ in range(60):
             _random_mutation(g, rng, created)
             g.check_registries()
+
+
+# One step of the journal fuzzer: (operation, two node or edge picks, a
+# small value).  Picks index into the sorted live ids, so every step is
+# meaningful whatever came before it.  Rooting, unrooting and scopes are
+# drawn more often than the other operations: a rollback that brings an
+# older root back needs all three.
+_OPS = (0, 1, 2, 3, 4, 5, 6, 6, 7, 7, 8, 8, 9, 9)
+_STEP = st.tuples(st.sampled_from(_OPS), st.integers(0, 63),
+                  st.integers(0, 63), st.integers(0, 4))
+
+
+def _by_recency(g):
+    roots = [nid for nid, rec in g.nodes.items() if rec.rooted]
+    return sorted(roots, key=lambda nid: -g.nodes[nid].root_seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_STEP, min_size=20, max_size=100))
+def test_journal_and_registries_fuzz(steps):
+    # Random mutations inside random nested scopes, each committed or
+    # rolled back; the registries must stay exact, the root registry in
+    # rooting order, and every rollback must restore the state at open.
+    g = HostGraph()
+    scopes = []  # (token, state at open)
+    for op, i, j, v in steps:
+        nodes = sorted(g.nodes)
+        edges = sorted(g.edges)
+        if op == 0 or (not nodes and op < 8):
+            g.add_node((v,), NODE_MARKS[v], rooted=i % 2 == 0)
+        elif op == 1:
+            nid = nodes[i % len(nodes)]
+            if not g.out_adj[nid] and not g.in_adj[nid]:
+                g.delete_node(nid)
+        elif op == 2:
+            g.add_edge(nodes[i % len(nodes)], nodes[j % len(nodes)], (v,))
+        elif op == 3:
+            if edges:
+                g.delete_edge(edges[i % len(edges)])
+        elif op == 4:
+            g.set_label(nodes[i % len(nodes)], (v, "x"))
+        elif op == 5:
+            g.set_mark(nodes[i % len(nodes)], NODE_MARKS[v])
+        elif op == 6:
+            g.set_root(nodes[i % len(nodes)], True)
+        elif op == 7:
+            g.set_root(nodes[i % len(nodes)], False)
+        elif op == 8:
+            scopes.append((g.begin_scope(), g.state()))
+        elif scopes:
+            token, snap = scopes.pop()
+            if v % 2:
+                g.commit_scope(token)
+            else:
+                g.rollback_scope(token)
+                assert g.state() == snap
+        g.check_registries()
+        assert g.roots_by_recency() == _by_recency(g)
+    while scopes:
+        token, snap = scopes.pop()
+        g.rollback_scope(token)
+        assert g.state() == snap
+        g.check_registries()
+        assert g.roots_by_recency() == _by_recency(g)

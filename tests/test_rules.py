@@ -5,7 +5,11 @@ import pytest
 
 from rootedgp.errors import ValidationError
 from rootedgp.hostgraph import HostGraph
-from rootedgp.rules import MatchStats, apply_match, find_match
+from rootedgp.labels import ArithT, CmpC, DegT, IntT, LabelPattern, OrC, VarT
+from rootedgp.rules import (
+    MatchStats, PatternEdge, PatternGraph, PatternNode, Rule, apply_match,
+    find_match, validate_rule,
+)
 from rootedgp.text import parse_rule
 
 from matchref import (
@@ -229,3 +233,112 @@ def test_brute_force_equivalence_sample():
             check_match_valid(rule, g, engine)
             agree += 1
     assert agree > 20  # the sample must actually exercise matches
+
+
+# Variable names no Python identifier could hold, and string constants
+# that need escaping; neither may reach the generated source as code.
+_HOSTILE_KINDS = {"class": "int", "x y": "atom", "a'); (": "list",
+                  "lambda": "char", "s\\": "string"}
+_HOSTILE_ATOMS = [0, 1, 'q"\'', "b\\s", "n\nl", "a"]
+_HOSTILE_NODE_LABELS = [(), (0,), (1,), ('q"\'',), ("b\\s", 1), ("n\nl",),
+                        ("a",), (1, 'q"\''), (0, "n\nl", "b\\s")]
+_HOSTILE_EDGE_LABELS = [(), (1,), ("n\nl",), ('q"\'',)]
+
+
+def _shared_list_rule():
+    # One list variable on a node and on an edge, and a condition mixing
+    # outdeg, arithmetic and a list-kind variable.
+    lst = ("v", "a'); (", "list")
+    lhs = PatternGraph()
+    lhs.nodes[1] = PatternNode(1, LabelPattern([("v", "class", "int"), lst]),
+                               "none", True)
+    lhs.nodes[2] = PatternNode(2, LabelPattern([lst]), "none", False)
+    lhs.edges.append(PatternEdge(1, 2, LabelPattern([("c", "n\nl"), lst])))
+    cond = OrC(
+        CmpC("=", ArithT("+", VarT("a'); ("), IntT(1)), IntT(1)),
+        CmpC(">=", ArithT("-", DegT("outdeg", 1), VarT("class")), IntT(0)))
+    rhs = PatternGraph()
+    for pid, pn in lhs.nodes.items():
+        rhs.nodes[pid] = PatternNode(pid, pn.label, pn.mark, pn.rooted)
+    rule = Rule("shared 'list'\n", list(_HOSTILE_KINDS.items()), lhs, rhs,
+                frozenset({1, 2}), cond)
+    validate_rule(rule)
+    return rule
+
+
+class TestCompiledRules:
+    def test_hostile_names_and_constants_agree_with_brute_force(self):
+        rng = random.Random(4242)
+        agree = 0
+        for i in range(1500):
+            if i % 3 == 0:
+                rule = _shared_list_rule()
+            else:
+                rule = random_rule(rng, _HOSTILE_KINDS, _HOSTILE_ATOMS)
+            g = random_host(rng, node_labels=_HOSTILE_NODE_LABELS,
+                            edge_labels=_HOSTILE_EDGE_LABELS)
+            m = find_match(rule, g, MatchStats())
+            assert (m is not None) == brute_force_exists(rule, g)
+            if m is not None:
+                check_match_valid(rule, g, m)
+                apply_match(rule, m, g, MatchStats())
+                g.check_registries()
+                agree += 1
+        assert agree > 50
+
+    def test_shared_list_rule_matches(self):
+        rule = _shared_list_rule()
+        g = HostGraph()
+        v = g.add_node((2, "b\\s", 'q"\''), rooted=True)
+        w = g.add_node(("b\\s", 'q"\''))
+        g.add_edge(v, w, ("n\nl", "b\\s", 'q"\''))
+        g.add_edge(v, g.add_node(()))
+        m = find_match(rule, g, MatchStats())
+        assert m is not None
+        assert m.assignment == {"class": 2, "a'); (": ("b\\s", 'q"\'')}
+        stats = MatchStats()
+        t = g.begin_scope()
+        apply_match(rule, m, g, stats)
+        assert stats.by_rule == {rule.name: 1}
+        g.rollback_scope(t)
+        g.set_label(w, ("b\\s",))
+        assert find_match(rule, g, MatchStats()) is None
+
+    def test_long_plan_is_compiled(self):
+        # A 30-node path rule: more plan steps than one Python function
+        # may nest loops, so the matcher continues in helpers.
+        n = 30
+        lhs = PatternGraph()
+        for pid in range(n):
+            lhs.nodes[pid] = PatternNode(
+                pid, LabelPattern([("v", f"k{pid}", "int")]), "none", pid == 0)
+        for pid in range(n - 1):
+            lhs.edges.append(PatternEdge(pid, pid + 1, LabelPattern([])))
+        rhs = PatternGraph()
+        rhs.nodes[0] = PatternNode(0, LabelPattern([("c", 0)]), "none", True)
+        rule = Rule("path", [(f"k{pid}", "int") for pid in range(n)], lhs, rhs,
+                    frozenset({0}),
+                    CmpC(">", VarT(f"k{n - 1}"), VarT("k0")))
+        validate_rule(rule)
+        g = HostGraph()
+        ids = [g.add_node((k,), rooted=k == 0) for k in range(n)]
+        for a, b in zip(ids, ids[1:]):
+            g.add_edge(a, b)
+        stats = MatchStats()
+        m = find_match(rule, g, stats)
+        assert m is not None and list(m.nodes.values()) == ids
+        assert (stats.anchors_tried, stats.extension_steps) == (1, n - 1)
+        apply_match(rule, m, g, stats)
+        assert list(g.nodes) == [ids[0]] and not g.edges
+        assert g.nodes[ids[0]].label == (0,)
+        g.check_registries()
+
+    def test_revalidation_drops_compiled_functions(self):
+        rule = parse_rule(GO_RIGHT1)
+        g, _, _ = traversal_host(parent_key=5, child_key=3)
+        assert find_match(rule, g, MatchStats()) is None
+        assert rule.matcher is not None and rule.rewriter is not None
+        rule.cond = CmpC("<", VarT("m"), VarT("n"))
+        validate_rule(rule)
+        assert rule.matcher is None and rule.rewriter is None
+        assert find_match(rule, g, MatchStats()) is not None

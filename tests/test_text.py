@@ -18,6 +18,12 @@ class TestHostRoundTrip:
         assert rec.label == ("i", 5) and rec.rooted and rec.mark == "none"
         assert g.roots() == [0]
 
+    def test_roots_listed_out_of_id_order_keep_rooting_order(self):
+        g = parse_host("[ (n2(R), 3) (n1, 2) (n3(R), 4) (n0(R), 1) | ]")
+        g.check_registries()
+        by_recency = sorted(g.roots(), key=lambda nid: -g.nodes[nid].root_seq)
+        assert g.roots_by_recency() == by_recency == [3, 2, 0]
+
     def test_print_is_canonical_and_parses_back(self):
         g = HostGraph()
         a = g.add_node((5,), "grey", rooted=True)
