@@ -10,15 +10,19 @@ so an enclosing rollback still undoes the committed work.  The journal
 holds inverse operations rather than snapshots: rollback costs O(changes),
 not O(graph).
 
-The root registry is kept in rooting order, least recently rooted first,
-so the matcher reads roots most recent first without sorting.  A new root
-always has the highest root sequence number and goes to the end; only a
-rollback can bring an older root back, and a rollback that does re-sorts
-the registry by sequence number.
+Roots are filed by mark, as in GP 2: one registry per node mark, each
+kept in rooting order, least recently rooted first, so a rooted anchor
+with a concrete mark reads only the roots that can pass its mark test,
+most recent first, without sorting.  A new root always has the highest
+root sequence number and goes to the end of its mark's registry.  Only a
+rollback, or remarking a rooted node, can file a root behind a newer one,
+so remarking a root, and a rollback that restores or remarks one, rebuild
+the registries in rooting order.
 """
 from __future__ import annotations
 
 from bisect import insort
+from heapq import merge
 
 from .errors import GraphError
 from .labels import format_label
@@ -57,7 +61,7 @@ class EdgeRec:
 class HostGraph:
     __slots__ = (
         "nodes", "edges", "out_adj", "in_adj",
-        "_rootset", "_by_mark", "_next_node", "_next_edge", "_root_seq",
+        "_roots", "_by_mark", "_next_node", "_next_edge", "_root_seq",
         "_frames",
     )
 
@@ -66,7 +70,8 @@ class HostGraph:
         self.edges: dict = {}
         self.out_adj: dict = {}
         self.in_adj: dict = {}
-        self._rootset: dict = {}   # rooted ids, least recently rooted first
+        # mark -> rooted ids with that mark, least recently rooted first
+        self._roots: dict = {m: {} for m in NODE_MARKS}
         self._by_mark: dict = {m: set() for m in NODE_MARKS if m != "none"}
         self._next_node = 0
         self._next_edge = 0
@@ -97,7 +102,7 @@ class HostGraph:
         if token != len(self._frames) - 1 or token < 1:
             raise GraphError(f"non-LIFO rollback of scope {token}")
         entries, nn, ne, rs = self._frames.pop()
-        restored_root = False
+        refile = False
         for entry in reversed(entries):
             op = entry[0]
             if op == "+n":
@@ -105,8 +110,7 @@ class HostGraph:
             elif op == "-n":
                 _, nid, label, mark, rooted, seq = entry
                 self._raw_insert_node(nid, label, mark, rooted, seq)
-                if rooted:
-                    restored_root = True
+                refile = refile or rooted
             elif op == "+e":
                 self._raw_remove_edge(entry[1])
             elif op == "-e":
@@ -118,14 +122,12 @@ class HostGraph:
                 self.edges[entry[1]].label = entry[2]
             elif op == "mk":
                 self._raw_set_mark(entry[1], entry[2])
+                refile = refile or self.nodes[entry[1]].rooted
             else:  # "rt"
                 self._raw_set_root(entry[1], entry[2], entry[3])
-                if entry[2]:
-                    restored_root = True
-        if restored_root:
-            nodes = self.nodes
-            self._rootset = dict.fromkeys(
-                sorted(self._rootset, key=lambda nid: nodes[nid].root_seq))
+                refile = refile or entry[2]
+        if refile:
+            self._refile_roots()
         self._next_node = nn
         self._next_edge = ne
         self._root_seq = rs
@@ -137,7 +139,7 @@ class HostGraph:
         self.out_adj[nid] = []
         self.in_adj[nid] = []
         if rooted:
-            self._rootset[nid] = None
+            self._roots[mark][nid] = None
         if mark != "none":
             self._by_mark[mark].add(nid)
 
@@ -145,7 +147,8 @@ class HostGraph:
         rec = self.nodes.pop(nid)
         del self.out_adj[nid]
         del self.in_adj[nid]
-        self._rootset.pop(nid, None)
+        if rec.rooted:
+            del self._roots[rec.mark][nid]
         if rec.mark != "none":
             self._by_mark[rec.mark].discard(nid)
 
@@ -161,8 +164,13 @@ class HostGraph:
 
     def _raw_set_mark(self, nid, mark) -> None:
         rec = self.nodes[nid]
+        if rec.mark == mark:
+            return
         if rec.mark != "none":
             self._by_mark[rec.mark].discard(nid)
+        if rec.rooted:
+            del self._roots[rec.mark][nid]
+            self._roots[mark][nid] = None
         rec.mark = mark
         if mark != "none":
             self._by_mark[mark].add(nid)
@@ -172,9 +180,19 @@ class HostGraph:
         rec.rooted = rooted
         rec.root_seq = seq
         if rooted:
-            self._rootset[nid] = None
+            self._roots[rec.mark][nid] = None
         else:
-            self._rootset.pop(nid, None)
+            del self._roots[rec.mark][nid]
+
+    def _refile_roots(self) -> None:
+        """Rebuild the per-mark root registries in rooting order, reading
+        each root's mark and sequence number from the node store."""
+        nodes = self.nodes
+        roots = [nid for reg in self._roots.values() for nid in reg]
+        roots.sort(key=lambda nid: nodes[nid].root_seq)
+        self._roots = {m: {} for m in NODE_MARKS}
+        for nid in roots:
+            self._roots[nodes[nid].mark][nid] = None
 
     # -- mutations ----------------------------------------------------------
 
@@ -240,6 +258,10 @@ class HostGraph:
             raise GraphError(f"invalid node mark {mark!r}")
         self._record(("mk", nid, rec.mark))
         self._raw_set_mark(nid, mark)
+        if rec.rooted:
+            # A remarked root keeps its rooting time, so it may be older
+            # than roots already filed under its new mark.
+            self._refile_roots()
 
     def set_root(self, nid, rooted: bool) -> None:
         rec = self.nodes.get(nid)
@@ -258,11 +280,13 @@ class HostGraph:
 
     def roots(self) -> list:
         """Rooted node ids in ascending order."""
-        return sorted(self._rootset)
+        return sorted(nid for reg in self._roots.values() for nid in reg)
 
     def roots_by_recency(self) -> list:
         """Rooted node ids, most recently rooted first."""
-        return list(reversed(self._rootset))
+        nodes = self.nodes
+        return list(merge(*(reversed(reg) for reg in self._roots.values()),
+                          key=lambda nid: nodes[nid].root_seq, reverse=True))
 
     def nodes_with_mark(self, mark) -> list:
         return sorted(self._by_mark[mark])
@@ -296,7 +320,7 @@ class HostGraph:
             g.edges[eid] = EdgeRec(rec.src, rec.tgt, rec.label, rec.mark)
         g.out_adj = {nid: list(adj) for nid, adj in self.out_adj.items()}
         g.in_adj = {nid: list(adj) for nid, adj in self.in_adj.items()}
-        g._rootset = dict(self._rootset)
+        g._roots = {m: dict(reg) for m, reg in self._roots.items()}
         g._by_mark = {m: set(s) for m, s in self._by_mark.items()}
         g._next_node = self._next_node
         g._next_edge = self._next_edge
@@ -316,15 +340,17 @@ class HostGraph:
         )
 
     def check_registries(self) -> None:
-        """Recompute roots, mark index, and adjacency from the stores; raise
-        GraphError on any divergence, or if the root registry is not in
-        rooting order.  Test support."""
-        roots = {nid for nid, rec in self.nodes.items() if rec.rooted}
-        if roots != self._rootset.keys():
-            raise GraphError("root registry out of sync")
-        seqs = [self.nodes[nid].root_seq for nid in self._rootset]
-        if seqs != sorted(seqs):
-            raise GraphError("root registry out of rooting order")
+        """Recompute root registries, mark index, and adjacency from the
+        stores; raise GraphError on any divergence, or if a root registry is
+        not in rooting order.  Test support."""
+        for mark, reg in self._roots.items():
+            roots = {nid for nid, rec in self.nodes.items()
+                     if rec.rooted and rec.mark == mark}
+            if roots != reg.keys():
+                raise GraphError(f"root registry out of sync for {mark}")
+            seqs = [self.nodes[nid].root_seq for nid in reg]
+            if seqs != sorted(seqs):
+                raise GraphError(f"root registry out of rooting order for {mark}")
         for mark, members in self._by_mark.items():
             expect = {nid for nid, rec in self.nodes.items() if rec.mark == mark}
             if expect != members:

@@ -4,13 +4,15 @@ Matching is deterministic.  Each rule gets a fixed search plan at load
 time: the left-hand side is split into connected components, every
 component gets an anchor node, and the rest of the component is reached
 depth-first along its edges in declaration order.  Anchor candidates come
-from the smallest available registry: the root registry for rooted
-anchors (most recently rooted first, which keeps the active traversal
-root ahead of any stale roots), the per-mark node index for marked
-anchors, and a full ascending-id scan only as a last resort.  Extension
-candidates are enumerated from the adjacency of already-matched nodes
-only, so matching a rule whose pattern hangs off roots or rare marks
-costs O(degree), independent of host size.
+from the smallest available registry: a rooted anchor reads the root
+registry of its mark, so it never probes a root its mark test would reject
+(a wildcard-marked rooted anchor reads all roots and tests their marks);
+either way roots come most recently rooted first, which keeps the active
+traversal root ahead of any stale roots.  Unrooted marked anchors read
+the per-mark node index, and a full ascending-id scan is the last resort.
+Extension candidates are enumerated from the adjacency of already-matched
+nodes only, so matching a rule whose pattern hangs off roots or rare
+marks costs O(degree), independent of host size.
 
 The plan is not interpreted.  On a rule's first match or application it
 is compiled, with compile() and exec(), into two straight-line Python
@@ -362,15 +364,21 @@ class _Codegen:
         self.emit("out_adj = g.out_adj")
         self.emit("in_adj = g.in_adj")
         for s in plan:
-            if s[0] == "anchor" and s[2] not in self.sources:
-                local = self.sources[s[2]] = f"c{len(self.sources)}"
-                if s[2][0] == "roots":
-                    call = "g.roots_by_recency()"
-                elif s[2][0] == "mark":
-                    call = f"g.nodes_with_mark({self.lit(s[2][1])})"
-                else:
-                    call = "g.node_ids()"
-                self.emit(f"{local} = {call}")
+            if s[0] != "anchor":
+                continue
+            source = self.anchor_source(s[1], s[2])
+            if source in self.sources:
+                continue
+            local = self.sources[source] = f"c{len(self.sources)}"
+            if source == ("roots",):
+                call = "g.roots_by_recency()"
+            elif source[0] == "roots":
+                call = f"g._roots[{self.lit(source[1])}]"
+            elif source[0] == "mark":
+                call = f"g.nodes_with_mark({self.lit(source[1])})"
+            else:
+                call = "g.node_ids()"
+            self.emit(f"{local} = {call}")
         if plan:
             self.emit("na = 0")
             self.emit("nx = 0")
@@ -439,12 +447,27 @@ class _Codegen:
         self.fail = "continue"
         self.emit(f"{counter} += 1")
 
+    def anchor_source(self, pid, source: tuple) -> tuple:
+        """Where an anchor's candidates come from: a rooted anchor with a
+        concrete mark reads the root registry of that mark."""
+        mark = self.rule.lhs.nodes[pid].mark
+        if source == ("roots",) and mark != "any":
+            return ("roots", mark)
+        return source
+
     def anchor(self, i: int, pid, source: tuple) -> None:
+        source = self.anchor_source(pid, source)
         local = f"n{len(self.nodes)}"
-        self.loop(local, self.sources[source], "na" if i == 0 else "nx")
+        cands = self.sources[source]
+        if source[0] == "roots" and source != ("roots",):
+            # A registry is a dict, least recently rooted first; every loop
+            # gets its own iterator, as anchors of one mark may nest.
+            cands = f"reversed({cands})"
+        self.loop(local, cands, "na" if i == 0 else "nx")
         self.emit(f"r = nodes[{local}]")
-        # The mark index holds exactly the nodes with that mark.
-        self.bind_node(pid, local, test_mark=source[0] != "mark")
+        # A mark index or a mark's root registry holds only nodes with
+        # that mark.
+        self.bind_node(pid, local, test_mark=source in (("roots",), ("scan",)))
 
     def extend(self, eidx: int, known, new, use_out: bool) -> None:
         pe = self.rule.lhs.edges[eidx]

@@ -227,12 +227,12 @@ class _Parser:
         g._next_node = max(g.nodes, default=-1) + 1
         g._next_edge = max(seen_edges, default=-1) + 1
         # Rooting order for recency: ascending id, as if rooted at build time.
-        # The registry must list roots in that order, not in textual order.
-        roots = [nid for nid in sorted(g.nodes) if g.nodes[nid].rooted]
-        for nid in roots:
-            g._root_seq += 1
-            g.nodes[nid].root_seq = g._root_seq
-        g._rootset = dict.fromkeys(roots)
+        # The registries must list roots in that order, not in textual order.
+        for nid in sorted(g.nodes):
+            if g.nodes[nid].rooted:
+                g._root_seq += 1
+                g.nodes[nid].root_seq = g._root_seq
+        g._refile_roots()
         return g
 
     # -- rules ---------------------------------------------------------------

@@ -137,12 +137,13 @@ _EDGE_MARKS = ["none", "none", "none", "dashed", "red", "green", "blue"]
 
 
 def random_host(rng: random.Random, max_nodes: int = 6, max_edges: int = 7,
-                node_labels=_NODE_LABELS, edge_labels=_EDGE_LABELS) -> HostGraph:
+                node_labels=_NODE_LABELS, edge_labels=_EDGE_LABELS,
+                node_marks=_NODE_MARKS, rooted_p: float = 0.35) -> HostGraph:
     g = HostGraph()
     n = rng.randint(0, max_nodes)
     ids = [
-        g.add_node(rng.choice(node_labels), rng.choice(_NODE_MARKS),
-                   rng.random() < 0.35)
+        g.add_node(rng.choice(node_labels), rng.choice(node_marks),
+                   rng.random() < rooted_p)
         for _ in range(n)
     ]
     if ids:
@@ -173,7 +174,8 @@ def _random_pattern(rng: random.Random, kinds: dict, atoms: list,
     return LabelPattern(items)
 
 
-def random_rule(rng: random.Random, kinds: dict = _KINDS, atoms: list = _ATOMS) -> Rule:
+def random_rule(rng: random.Random, kinds: dict = _KINDS, atoms: list = _ATOMS,
+                node_marks=_NODE_MARKS + ["any"], rooted_p: float = 0.4) -> Rule:
     n = rng.randint(0, 3)
     pids = list(range(1, n + 1))
     lhs = PatternGraph()
@@ -181,8 +183,8 @@ def random_rule(rng: random.Random, kinds: dict = _KINDS, atoms: list = _ATOMS) 
         lhs.nodes[pid] = PatternNode(
             pid,
             _random_pattern(rng, kinds, atoms, allow_list=True),
-            rng.choice(_NODE_MARKS + ["any"]),
-            rng.random() < 0.4,
+            rng.choice(node_marks),
+            rng.random() < rooted_p,
         )
     if pids:
         for _ in range(rng.randint(0, 3)):

@@ -400,16 +400,16 @@ class TestCounterGolden:
         r = run_bst(ops, "sanitized")
         assert r.status is Status.SUCCESS
         assert _counters(r.stats) == {
-            "anchors_tried": 66,
-            "extension_steps": 67,
+            "anchors_tried": 44,
+            "extension_steps": 45,
             "matches_found": 26,
             "applications": 26,
             "by_rule": {
                 "add_leaf": 5, "add_root": 1, "go_left1": 2, "go_right1": 1,
                 "insert": 6, "make_root": 1, "next_op": 5, "root": 5,
             },
-            "max_anchors_per_call": 2,
-            "max_extensions_per_call": 6,
+            "max_anchors_per_call": 1,
+            "max_extensions_per_call": 4,
         }
 
     def test_faithful_safe_workload(self):
@@ -419,8 +419,8 @@ class TestCounterGolden:
         r = run_bst(ops, "faithful")
         assert r.status is Status.SUCCESS
         assert _counters(r.stats) == {
-            "anchors_tried": 40748,
-            "extension_steps": 235503,
+            "anchors_tried": 36230,
+            "extension_steps": 9868,
             "matches_found": 1723,
             "applications": 1723,
             "by_rule": {
@@ -431,6 +431,19 @@ class TestCounterGolden:
                 "save_node": 20, "swap2": 5, "swap3": 5, "swap4": 2,
                 "swap5": 3, "swap6": 5,
             },
-            "max_anchors_per_call": 60,
-            "max_extensions_per_call": 3540,
+            "max_anchors_per_call": 59,
+            "max_extensions_per_call": 59,
         }
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_faithful_probes_per_op_grow_linearly(self, seed):
+        # Every faithful delete leaves a stale grey root.  A rooted anchor
+        # that enumerated every root would pay roots x roots per failed
+        # traversal attempt, so probes per op would grow with the script
+        # length squared (3.2-4.2x from 200 to 400 ops when it did).
+        per_op = []
+        for n in (200, 400):
+            r = run_bst(gen_workload(seed, n, "faithful-safe"), "faithful")
+            assert r.status is Status.SUCCESS
+            per_op.append((r.stats.anchors_tried + r.stats.extension_steps) / n)
+        assert per_op[1] <= 2.5 * per_op[0]

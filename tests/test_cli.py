@@ -17,8 +17,8 @@ GOLDEN_TRACE_STATS = "\n".join([
     "make_root", "insert", "add_root", "next_op", "search", "root", "match",
     "unroot",
     GOLDEN_RUN,
-    "anchors_tried 15",
-    "extension_steps 6",
+    "anchors_tried 12",
+    "extension_steps 5",
     "matches_found 8",
     "applications 8",
     "rule add_root 1",

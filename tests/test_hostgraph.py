@@ -124,6 +124,22 @@ def test_rollback_restores_unrooted_root_to_its_recency_place():
     g.check_registries()
 
 
+def test_remarked_root_is_filed_by_its_rooting_time():
+    g = HostGraph()
+    a = g.add_node((1,), "grey", rooted=True)
+    b = g.add_node((2,), "red", rooted=True)
+    t = g.begin_scope()
+    g.set_mark(a, "red")
+    assert list(reversed(g._roots["red"])) == [b, a]
+    assert not g._roots["grey"]
+    g.check_registries()
+    g.rollback_scope(t)
+    assert list(g._roots["grey"]) == [a]
+    assert list(g._roots["red"]) == [b]
+    assert g.roots_by_recency() == [b, a]
+    g.check_registries()
+
+
 def test_clone_is_independent():
     g = HostGraph()
     a = g.add_node((1,), "grey", rooted=True)
@@ -226,6 +242,16 @@ def _by_recency(g):
     return sorted(roots, key=lambda nid: -g.nodes[nid].root_seq)
 
 
+def _check_recency(g):
+    # Each mark's registry, read most recent first, is the recency order
+    # of all roots filtered to that mark; merged, they are all roots.
+    expect = _by_recency(g)
+    for mark in NODE_MARKS:
+        assert list(reversed(g._roots[mark])) == [
+            nid for nid in expect if g.nodes[nid].mark == mark]
+    assert g.roots_by_recency() == expect
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_STEP, min_size=20, max_size=100))
 def test_journal_and_registries_fuzz(steps):
@@ -266,10 +292,10 @@ def test_journal_and_registries_fuzz(steps):
                 g.rollback_scope(token)
                 assert g.state() == snap
         g.check_registries()
-        assert g.roots_by_recency() == _by_recency(g)
+        _check_recency(g)
     while scopes:
         token, snap = scopes.pop()
         g.rollback_scope(token)
         assert g.state() == snap
         g.check_registries()
-        assert g.roots_by_recency() == _by_recency(g)
+        _check_recency(g)

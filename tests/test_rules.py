@@ -7,10 +7,10 @@ from rootedgp.errors import ValidationError
 from rootedgp.hostgraph import HostGraph
 from rootedgp.labels import ArithT, CmpC, DegT, IntT, LabelPattern, OrC, VarT
 from rootedgp.rules import (
-    MatchStats, PatternEdge, PatternGraph, PatternNode, Rule, apply_match,
+    Match, MatchStats, PatternEdge, PatternGraph, PatternNode, Rule, apply_match,
     find_match, validate_rule,
 )
-from rootedgp.text import parse_rule
+from rootedgp.text import parse_host, parse_rule
 
 from matchref import (
     brute_force_exists, check_match_valid, random_host, random_rule,
@@ -266,6 +266,24 @@ def _shared_list_rule():
     return rule
 
 
+def _separate_roots_rule(rng):
+    # Two or three rooted lhs nodes and no edges: one rooted anchor per node.
+    names = ["a", "b", "c"][:rng.randint(2, 3)]
+    lhs = PatternGraph()
+    rhs = PatternGraph()
+    for pid, name in enumerate(names, 1):
+        label = LabelPattern([("v", name, "int")])
+        mark = rng.choice(["grey", "none", "any"])
+        lhs.nodes[pid] = PatternNode(pid, label, mark, True)
+        rhs.nodes[pid] = PatternNode(pid, label, mark, True)
+    x, y = rng.sample(names, 2)
+    cond = CmpC(rng.choice(["<", ">", "=", "!="]), VarT(x), VarT(y))
+    rule = Rule("roots", [(name, "int") for name in names], lhs, rhs,
+                frozenset(lhs.nodes), cond)
+    validate_rule(rule)
+    return rule
+
+
 class TestCompiledRules:
     def test_hostile_names_and_constants_agree_with_brute_force(self):
         rng = random.Random(4242)
@@ -332,6 +350,40 @@ class TestCompiledRules:
         assert list(g.nodes) == [ids[0]] and not g.edges
         assert g.nodes[ids[0]].label == (0,)
         g.check_registries()
+
+    def test_same_mark_roots_in_separate_components(self):
+        # Both anchors read the grey root registry; each loop needs its own
+        # iterator, or the inner loop exhausts the outer one.
+        rule = parse_rule(
+            "r(a,b:int) [ (1(R), a #grey) (2(R), b #grey) | ] => "
+            "[ (1(R), a #grey) (2(R), b #grey) | ] interface = {1, 2} "
+            "where b > a")
+        g = parse_host("[ (n0(R), 1 #grey) (n1(R), 2 #grey) (n2(R), 3 #grey) | ]")
+        assert find_match(rule, g, MatchStats()) == Match({1: 1, 2: 2}, {},
+                                                          {"a": 2, "b": 3})
+
+    def test_all_rooted_rules_agree_with_brute_force(self):
+        # Rooted anchors only, several per rule with the same or the
+        # wildcard mark, on hosts where most nodes are roots.  Every other
+        # rule has only separate components tied by a condition, so the
+        # first root of a mark often fits no partner and a later one must.
+        rng = random.Random(515)
+        agree = 0
+        for i in range(1500):
+            if i % 2:
+                rule = _separate_roots_rule(rng)
+            else:
+                rule = random_rule(rng, node_marks=["grey", "none", "any"],
+                                   rooted_p=1.0)
+            g = random_host(rng, node_labels=[(0,), (1,), (2,), (3,)],
+                            node_marks=["none", "grey", "grey", "red"],
+                            rooted_p=0.8)
+            m = find_match(rule, g, MatchStats())
+            assert (m is not None) == brute_force_exists(rule, g)
+            if m is not None:
+                check_match_valid(rule, g, m)
+                agree += 1
+        assert agree > 100
 
     def test_revalidation_drops_compiled_functions(self):
         rule = parse_rule(GO_RIGHT1)
