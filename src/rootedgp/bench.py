@@ -21,7 +21,7 @@ from .bst import program
 from .hostgraph import HostGraph
 from .interp import Call, Program, Seq, Status, run
 from .rules import MatchStats, find_match
-from .text import Op
+from .text import Op, append_instructions
 
 CSV_HEADER = "shape,n,op,reps,mean_ns,stddev_ns,rule_apps,anchors_tried"
 
@@ -146,13 +146,7 @@ def run_measured(base: HostGraph, ops, variant: str = "sanitized"):
     """Clone the base graph, append the instruction list, run the
     measurement program.  Returns (status, stats, elapsed_ns); only the
     run itself is timed."""
-    g = base.clone()
-    prev = None
-    for i, op in enumerate(ops):
-        nid = g.add_node((op.kind, op.key), "none", rooted=(i == 0))
-        if prev is not None:
-            g.add_edge(prev, nid)
-        prev = nid
+    g = append_instructions(base.clone(), ops)
     prog = measurement_program(variant)
     stats = MatchStats()
     t0 = time.perf_counter_ns()

@@ -2,12 +2,11 @@
 
 Exit codes: 0 success, 1 program failure (or aborted run), 2 usage or
 syntax error, 3 validation error or differential mismatch.  Outputs go
-to stdout, diagnostics to stderr.  RG_MAX_ITERS overrides the loop cap.
+to stdout, diagnostics to stderr.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .bench import measure, scaling_report
@@ -31,15 +30,6 @@ def _read(path: str) -> str:
         return f.read()
 
 
-def _max_iters(args) -> int:
-    if getattr(args, "max_iters", None) is not None:
-        return args.max_iters
-    env = os.environ.get("RG_MAX_ITERS")
-    if env:
-        return int(env)
-    return DEFAULT_MAX_ITERS
-
-
 def _print_stats(stats: MatchStats) -> None:
     print(f"anchors_tried {stats.anchors_tried}")
     print(f"extension_steps {stats.extension_steps}")
@@ -54,7 +44,7 @@ def cmd_run(args) -> int:
     g = parse_host(_read(args.host))
     stats = MatchStats()
     trace = []
-    status = run(prog, g, max_iters=_max_iters(args), stats=stats,
+    status = run(prog, g, max_iters=args.max_iters, stats=stats,
                  on_apply=trace.append if args.trace else None)
     for name in trace:
         print(name)
@@ -66,7 +56,7 @@ def cmd_run(args) -> int:
 
 def cmd_bst(args) -> int:
     ops = parse_opscript(_read(args.ops))
-    result = run_bst(ops, variant=args.variant, max_iters=_max_iters(args))
+    result = run_bst(ops, variant=args.variant, max_iters=args.max_iters)
     if args.print == "graph":
         print(print_host(result.graph))
     elif args.print == "tree":
@@ -122,10 +112,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    prog = parse_program(_read(args.program), validate=False)
-    from .interp import validate_program
-    warnings = validate_program(prog)
-    for w in warnings:
+    prog = parse_program(_read(args.program))
+    for w in prog.warnings:
         print(f"warning: {w}")
     print(f"ok: {len(prog.rules)} rules, {len(prog.procs)} procedures")
     return EXIT_OK
@@ -141,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("run", help="run a program on a host graph")
     sp.add_argument("program")
     sp.add_argument("host")
-    sp.add_argument("--max-iters", type=int, default=None)
+    sp.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--stats", action="store_true")
     sp.set_defaults(func=cmd_run)
@@ -152,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="sanitized")
     sp.add_argument("--print", choices=("graph", "tree", "report"),
                     default="graph")
-    sp.add_argument("--max-iters", type=int, default=None)
+    sp.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     sp.set_defaults(func=cmd_bst)
 
     sp = sub.add_parser("check", help="differential check against the oracle")

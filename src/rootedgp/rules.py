@@ -81,9 +81,6 @@ class Rule:
     cond: object = None
     # Filled in by validate_rule:
     plan: list = field(default_factory=list, compare=False, repr=False)
-    deleted_pids: list = field(default_factory=list, compare=False, repr=False)
-    created_pids: list = field(default_factory=list, compare=False, repr=False)
-    iface_ops: list = field(default_factory=list, compare=False, repr=False)
     # Compiled from the above on first use; validate_rule resets them.
     matcher: object = field(default=None, compare=False, repr=False)
     rewriter: object = field(default=None, compare=False, repr=False)
@@ -222,8 +219,8 @@ def _build_plan(rule: Rule) -> list:
 
 
 def validate_rule(rule: Rule) -> list:
-    """Check structural invariants, precompute the search plan and the
-    application recipe.  Returns warnings; raises ValidationError on errors.
+    """Check structural invariants and precompute the search plan.
+    Returns warnings; raises ValidationError on errors.
     """
     errors = []
     warnings = []
@@ -292,14 +289,6 @@ def validate_rule(rule: Rule) -> list:
         warnings.append(f"rule {rule.name}: no rooted node in left-hand side")
 
     rule.plan = _build_plan(rule)
-    rule.deleted_pids = sorted(set(rule.lhs.nodes) - rule.interface)
-    rule.created_pids = sorted(set(rule.rhs.nodes) - rule.interface)
-    rule.iface_ops = []
-    for pid in sorted(rule.interface):
-        ln = rule.lhs.nodes[pid]
-        rn = rule.rhs.nodes[pid]
-        same_label = ln.label == rn.label
-        rule.iface_ops.append((pid, rn, same_label))
     rule.matcher = rule.rewriter = None
     return warnings
 
@@ -340,6 +329,8 @@ class _Codegen:
         self.nodes = {}        # pid -> (local, pattern node)
         self.edges = []        # (lhs edge index, local, pattern edge)
         self.sources = {}      # anchor source -> local holding its candidates
+        # lhs nodes outside the interface, which the rewriter deletes
+        self.deleted = sorted(set(rule.lhs.nodes) - rule.interface)
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
@@ -578,7 +569,7 @@ class _Codegen:
             self.emit(f"if not {self.cond(rule.cond)}: {self.fail}")
         # Matched edges are distinct, so a deleted node has no unmatched
         # incident edge iff its degrees equal its matched edge counts.
-        for pid in rule.deleted_pids:
+        for pid in self.deleted:
             local = self.nodes[pid][0]
             n_in = sum(1 for pe in rule.lhs.edges if pe.tgt == pid)
             n_out = sum(1 for pe in rule.lhs.edges if pe.src == pid)
@@ -637,16 +628,17 @@ class _Codegen:
         if rule.lhs.edges:
             self.emit("for eid in m.edges.values():")
             self.emit("    g.delete_edge(eid)")
-        for pid in rule.deleted_pids:
+        for pid in self.deleted:
             self.emit(f"g.delete_node(n[{self.lit(pid)}])")
         imgs = {}
-        if rule.iface_ops:
+        if rule.interface:
             self.emit("nodes = g.nodes")
-        for pid, rn, same_label in rule.iface_ops:
+        for pid in sorted(rule.interface):
+            rn = rule.rhs.nodes[pid]
             h = imgs[pid] = f"h{len(imgs)}"
             self.emit(f"{h} = n[{self.lit(pid)}]")
             self.emit(f"r = nodes[{h}]")
-            if not same_label:
+            if rn.label != rule.lhs.nodes[pid].label:
                 self.emit(f"lab = {self.build(rn.label)}")
                 self.emit(f"if lab != r.label: g.set_label({h}, lab)")
             if rn.mark != "any":
@@ -654,7 +646,7 @@ class _Codegen:
                 self.emit(f"if r.mark != {mark}: g.set_mark({h}, {mark})")
             rooted = self.lit(rn.rooted)
             self.emit(f"if r.rooted != {rooted}: g.set_root({h}, {rooted})")
-        for pid in rule.created_pids:
+        for pid in sorted(set(rule.rhs.nodes) - rule.interface):
             rn = rule.rhs.nodes[pid]
             h = imgs[pid] = f"h{len(imgs)}"
             self.emit(f"{h} = g.add_node({self.build(rn.label)}, "

@@ -20,7 +20,7 @@ from .labels import (
     AndC, ArithT, CmpC, DegT, IntT, LabelPattern, NotC, OrC, VarT,
     VAR_KINDS, format_label,
 )
-from .rules import PatternEdge, PatternGraph, PatternNode, Rule
+from .rules import PatternEdge, PatternGraph, PatternNode, Rule, validate_rule
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -75,9 +75,8 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self, ahead=0) -> Token:
-        i = min(self.pos + ahead, len(self.toks) - 1)
-        return self.toks[i]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def take(self) -> Token:
         tok = self.toks[self.pos]
@@ -106,69 +105,53 @@ class _Parser:
         tok = self.peek()
         raise ParseError(msg, tok.line, tok.col)
 
-    # -- shared pieces ------------------------------------------------------
+    # -- graphs ---------------------------------------------------------------
+    #
+    # Host graphs and rule graphs share one grammar.  A rule graph passes its
+    # variable declarations as `kinds`: its labels may then hold variables
+    # and its marks may be the wildcard `any`.  A host graph passes None.
 
-    def parse_id(self, prefixes=("n", "e")) -> int:
+    def parse_id(self, prefix: str) -> int:
+        """`<prefix><k>` or a bare integer `<k>`."""
         tok = self.peek()
         if tok.kind == "int":
             self.take()
             return tok.value
-        if tok.kind == "ident":
-            m = re.fullmatch(rf"[{''.join(prefixes)}](\d+)", tok.value)
-            if m:
-                self.take()
-                return int(m.group(1))
+        if tok.kind == "ident" and tok.value[:1] == prefix and tok.value[1:].isdigit():
+            self.take()
+            return int(tok.value[1:])
         self.error("expected a node/edge id")
 
     def parse_mark(self, allowed, context) -> str:
-        self.expect("punct", "#")
+        """An optional `#mark`; "none" when absent."""
+        if not self.accept("punct", "#"):
+            return "none"
         tok = self.expect("ident")
         if tok.value not in allowed:
             raise ParseError(f"unknown mark #{tok.value} in {context}", tok.line, tok.col)
         return tok.value
 
-    def parse_host_label(self) -> tuple:
-        if self.at("ident", "empty"):
-            self.take()
-            return ()
-        atoms = [self.parse_host_atom()]
-        while self.accept("punct", ":"):
-            atoms.append(self.parse_host_atom())
-        return tuple(atoms)
-
-    def parse_host_atom(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            self.take()
-            return tok.value
-        if tok.kind == "str":
-            self.take()
-            return tok.value
-        if self.accept("punct", "-"):
-            t = self.expect("int")
-            return -t.value
-        self.error("expected an integer or string atom")
-
-    def parse_pattern_label(self, kinds: dict) -> LabelPattern:
-        if self.at("ident", "empty"):
-            self.take()
-            return LabelPattern(())
-        items = [self.parse_pattern_atom(kinds)]
-        while self.accept("punct", ":"):
-            items.append(self.parse_pattern_atom(kinds))
+    def parse_label(self, kinds: Optional[dict]):
+        """An atom tuple in a host graph, a LabelPattern in a rule graph."""
+        items = []
+        if not self.accept("ident", "empty"):
+            items.append(self.parse_item(kinds))
+            while self.accept("punct", ":"):
+                items.append(self.parse_item(kinds))
+        if kinds is None:
+            return tuple(item[1] for item in items)
         return LabelPattern(items)
 
-    def parse_pattern_atom(self, kinds: dict):
+    def parse_item(self, kinds: Optional[dict]) -> tuple:
+        """("c", atom), or ("v", name, kind) for a declared variable."""
         tok = self.peek()
-        if tok.kind == "int":
-            self.take()
-            return ("c", tok.value)
-        if tok.kind == "str":
+        if tok.kind == "int" or tok.kind == "str":
             self.take()
             return ("c", tok.value)
         if self.accept("punct", "-"):
-            t = self.expect("int")
-            return ("c", -t.value)
+            return ("c", -self.expect("int").value)
+        if kinds is None:
+            self.error("expected an integer or string atom")
         if tok.kind == "ident":
             self.take()
             kind = kinds.get(tok.value)
@@ -177,63 +160,76 @@ class _Parser:
             return ("v", tok.value, kind)
         self.error("expected an atom or variable")
 
-    # -- host graphs --------------------------------------------------------
-
-    def parse_host(self) -> HostGraph:
-        g = HostGraph()
-        seen_edges = {}
+    def parse_graph(self, kinds: Optional[dict]) -> tuple:
+        """`[ node* | edge* ]` as node records {id: (rooted, label, mark)}
+        in textual order and edge records [(id, src, tgt, label, mark)]."""
+        side, wild = ("host", ()) if kinds is None else ("rule", ("any",))
+        node_marks = tuple(m for m in NODE_MARKS if m != "none") + wild
+        edge_marks = tuple(m for m in EDGE_MARKS if m != "none") + wild
+        nodes = {}
+        edges = []
+        eids = set()
         self.expect("punct", "[")
         while self.at("punct", "("):
             tok = self.take()
-            nid = self.parse_id(prefixes=("n",))
-            rooted = False
-            if self.accept("punct", "("):
+            nid = self.parse_id("n")
+            rooted = self.accept("punct", "(") is not None
+            if rooted:
                 self.expect("ident", "R")
                 self.expect("punct", ")")
-                rooted = True
             self.expect("punct", ",")
-            label = self.parse_host_label()
-            mark = "none"
-            if self.at("punct", "#"):
-                mark = self.parse_mark(
-                    [m for m in NODE_MARKS if m != "none"], "host node")
+            label = self.parse_label(kinds)
+            mark = self.parse_mark(node_marks, f"{side} node")
             self.expect("punct", ")")
-            if nid in g.nodes:
+            if nid in nodes:
                 raise ParseError(f"duplicate node id n{nid}", tok.line, tok.col)
-            g._raw_insert_node(nid, label, mark, rooted, 0)
+            nodes[nid] = (rooted, label, mark)
         self.expect("punct", "|")
         while self.at("punct", "("):
             tok = self.take()
-            eid = self.parse_id(prefixes=("e",))
+            eid = self.parse_id("e")
             self.expect("punct", ",")
-            src = self.parse_id(prefixes=("n",))
+            src = self.parse_id("n")
             self.expect("punct", ",")
-            tgt = self.parse_id(prefixes=("n",))
+            tgt = self.parse_id("n")
             self.expect("punct", ",")
-            label = self.parse_host_label()
-            mark = "none"
-            if self.at("punct", "#"):
-                mark = self.parse_mark(
-                    [m for m in EDGE_MARKS if m != "none"], "host edge")
+            label = self.parse_label(kinds)
+            mark = self.parse_mark(edge_marks, f"{side} edge")
             self.expect("punct", ")")
-            if eid in seen_edges:
+            if eid in eids:
                 raise ParseError(f"duplicate edge id e{eid}", tok.line, tok.col)
-            if src not in g.nodes or tgt not in g.nodes:
+            if src not in nodes or tgt not in nodes:
                 raise ParseError(
                     f"edge e{eid} references a missing node", tok.line, tok.col)
-            seen_edges[eid] = True
-            g._raw_insert_edge(eid, src, tgt, label, mark)
+            eids.add(eid)
+            edges.append((eid, src, tgt, label, mark))
         self.expect("punct", "]")
-        g._next_node = max(g.nodes, default=-1) + 1
-        g._next_edge = max(seen_edges, default=-1) + 1
-        # Rooting order for recency: ascending id, as if rooted at build time.
-        # The registries must list roots in that order, not in textual order.
-        for nid in sorted(g.nodes):
-            if g.nodes[nid].rooted:
+        return nodes, edges
+
+    def parse_host(self) -> HostGraph:
+        nodes, edges = self.parse_graph(None)
+        g = HostGraph()
+        # Roots are rooted in ascending id order, as if at build time, so
+        # inserting in that order files each root in rooting order.
+        for nid in sorted(nodes):
+            rooted, label, mark = nodes[nid]
+            seq = 0
+            if rooted:
                 g._root_seq += 1
-                g.nodes[nid].root_seq = g._root_seq
-        g._refile_roots()
+                seq = g._root_seq
+            g._raw_insert_node(nid, label, mark, rooted, seq)
+        for eid, src, tgt, label, mark in edges:
+            g._raw_insert_edge(eid, src, tgt, label, mark)
+        g._next_node = max(nodes, default=-1) + 1
+        g._next_edge = max((e[0] for e in edges), default=-1) + 1
         return g
+
+    def parse_pattern_graph(self, kinds: dict) -> PatternGraph:
+        nodes, edges = self.parse_graph(kinds)
+        return PatternGraph(
+            {pid: PatternNode(pid, label, mark, rooted)
+             for pid, (rooted, label, mark) in nodes.items()},
+            [PatternEdge(src, tgt, label, mark) for _, src, tgt, label, mark in edges])
 
     # -- rules ---------------------------------------------------------------
 
@@ -256,53 +252,6 @@ class _Parser:
         self.expect("punct", ")")
         return decls
 
-    def parse_pattern_graph(self, kinds: dict) -> PatternGraph:
-        pg = PatternGraph()
-        self.expect("punct", "[")
-        while self.at("punct", "("):
-            tok = self.take()
-            pid = self.parse_id(prefixes=("n",))
-            rooted = False
-            if self.accept("punct", "("):
-                self.expect("ident", "R")
-                self.expect("punct", ")")
-                rooted = True
-            self.expect("punct", ",")
-            label = self.parse_pattern_label(kinds)
-            mark = "none"
-            if self.at("punct", "#"):
-                mark = self.parse_mark(
-                    [m for m in NODE_MARKS if m != "none"] + ["any"], "rule node")
-            self.expect("punct", ")")
-            if pid in pg.nodes:
-                raise ParseError(f"duplicate node id {pid}", tok.line, tok.col)
-            pg.nodes[pid] = PatternNode(pid, label, mark, rooted)
-        self.expect("punct", "|")
-        seen = set()
-        while self.at("punct", "("):
-            tok = self.take()
-            eid = self.parse_id(prefixes=("e",))
-            self.expect("punct", ",")
-            src = self.parse_id(prefixes=("n",))
-            self.expect("punct", ",")
-            tgt = self.parse_id(prefixes=("n",))
-            self.expect("punct", ",")
-            label = self.parse_pattern_label(kinds)
-            mark = "none"
-            if self.at("punct", "#"):
-                mark = self.parse_mark(
-                    [m for m in EDGE_MARKS if m != "none"] + ["any"], "rule edge")
-            self.expect("punct", ")")
-            if eid in seen:
-                raise ParseError(f"duplicate edge id {eid}", tok.line, tok.col)
-            seen.add(eid)
-            if src not in pg.nodes or tgt not in pg.nodes:
-                raise ParseError(
-                    f"edge {eid} references a missing node", tok.line, tok.col)
-            pg.edges.append(PatternEdge(src, tgt, label, mark))
-        self.expect("punct", "]")
-        return pg
-
     def parse_rule_after_name(self, name: str) -> Rule:
         decls = self.parse_var_decls()
         kinds = dict(decls)
@@ -314,9 +263,9 @@ class _Parser:
         self.expect("punct", "{")
         pids = set()
         if not self.at("punct", "}"):
-            pids.add(self.parse_id(prefixes=("n",)))
+            pids.add(self.parse_id("n"))
             while self.accept("punct", ","):
-                pids.add(self.parse_id(prefixes=("n",)))
+                pids.add(self.parse_id("n"))
         self.expect("punct", "}")
         cond = None
         if self.accept("ident", "where"):
@@ -377,7 +326,7 @@ class _Parser:
         if tok.kind == "ident" and tok.value in ("outdeg", "indeg"):
             self.take()
             self.expect("punct", "(")
-            pid = self.parse_id(prefixes=("n",))
+            pid = self.parse_id("n")
             self.expect("punct", ")")
             return DegT(tok.value, pid)
         if tok.kind == "ident":
@@ -458,19 +407,15 @@ class _Parser:
             name_tok = self.expect("ident")
             name = name_tok.value
             if self.at("punct", "("):
-                rule = self.parse_rule_after_name(name)
-                if name in rules or name in procs:
-                    raise ParseError(f"duplicate declaration {name!r}",
-                                     name_tok.line, name_tok.col)
-                rules[name] = rule
+                decls, decl = rules, self.parse_rule_after_name(name)
             elif self.accept("punct", "="):
-                cmd = self.parse_command()
-                if name in rules or name in procs:
-                    raise ParseError(f"duplicate declaration {name!r}",
-                                     name_tok.line, name_tok.col)
-                procs[name] = cmd
+                decls, decl = procs, self.parse_command()
             else:
                 self.error("expected '=' (procedure) or '(' (rule)")
+            if name in rules or name in procs:
+                raise ParseError(f"duplicate declaration {name!r}",
+                                 name_tok.line, name_tok.col)
+            decls[name] = decl
         return Program(rules, procs)
 
 
@@ -486,7 +431,6 @@ def parse_host(text: str) -> HostGraph:
 
 def parse_rule(text: str) -> Rule:
     """Parse and validate a single rule declaration."""
-    from .rules import validate_rule
     p = _Parser(text)
     name = p.expect("ident").value
     rule = p.parse_rule_after_name(name)
@@ -495,11 +439,10 @@ def parse_rule(text: str) -> Rule:
     return rule
 
 
-def parse_program(text: str, validate: bool = True) -> Program:
-    p = _Parser(text)
-    program = p.parse_program()
-    if validate:
-        program.warnings = validate_program(program)
+def parse_program(text: str) -> Program:
+    """Parse and validate a program; its warnings go to `warnings`."""
+    program = _Parser(text).parse_program()
+    program.warnings = validate_program(program)
     return program
 
 
@@ -558,7 +501,13 @@ def build_instruction_graph(ops) -> HostGraph:
     Node ids are 0..len(ops)-1 in op order; edge i connects op i to op
     i+1.  An empty script yields an empty graph.
     """
-    g = HostGraph()
+    return append_instructions(HostGraph(), ops)
+
+
+def append_instructions(g: HostGraph, ops) -> HostGraph:
+    """Append the instruction list of `ops` to `g` and return `g`: one
+    unmarked node per op labelled (kind, key), in op order, each linked to
+    the next, and only the head rooted."""
     prev = None
     for i, op in enumerate(ops):
         nid = g.add_node((op.kind, op.key), "none", rooted=(i == 0))

@@ -79,13 +79,12 @@ class TestRun:
         assert main(["run", str(prog), str(host)]) == 1
         assert capsys.readouterr().out == "[ (n0, 1) | ]\n"
 
-    def test_divergence_cap_from_env(self, tmp_path, capsys, monkeypatch):
+    def test_divergence_cap_from_option(self, tmp_path, capsys):
         prog = tmp_path / "p.gp2"
         prog.write_text("Main = skip!")
         host = tmp_path / "h.host"
         host.write_text("[ | ]")
-        monkeypatch.setenv("RG_MAX_ITERS", "50")
-        assert main(["run", str(prog), str(host)]) == 1
+        assert main(["run", str(prog), str(host), "--max-iters", "50"]) == 1
         assert "aborted" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, capsys):

@@ -201,3 +201,47 @@ def test_build_instruction_graph_random_shapes():
         ops = [Op(rng.choice("isd"), rng.randint(0, 99))
                for _ in range(rng.randint(1, 40))]
         _check_instruction_graph(build_instruction_graph(ops), ops)
+
+
+# The shared graph grammar's error paths, for host graphs and rule graphs
+# alike.  Rule cases put the left-hand side on line 2; a case without a
+# message must parse and keep its `#any`.
+def _rule(lhs):
+    return parse_rule(f"r(x:int)\n{lhs}\n=> [ (1(R), 0 #any) | ]\ninterface = {{1}}")
+
+
+@pytest.mark.parametrize("parse, text, fragment, line, col", [
+    (parse_host, "[ (n0, 1) (n0, 2) | ]", "duplicate node id n0", 1, 11),
+    (_rule, "[ (1(R), x) (1, 2) | ]", "duplicate node id n1", 2, 13),
+    (parse_host, "[ (n0, 1) | (e0, n0, n0, empty) (e0, n0, n0, empty) ]",
+     "duplicate edge id e0", 1, 33),
+    (_rule, "[ (1(R), x) | (e1, 1, 1, empty) (e1, 1, 1, empty) ]",
+     "duplicate edge id e1", 2, 33),
+    (parse_host, "[ (n0, 1) | (e0, n0, n7, empty) ]",
+     "edge e0 references a missing node", 1, 13),
+    (_rule, "[ (1(R), x) | (e1, 1, 2, empty) ]",
+     "edge e1 references a missing node", 2, 15),
+    (parse_host, "[ (n0, 1 #purple) | ]", "unknown mark #purple in host node", 1, 11),
+    (_rule, "[ (1(R), x #purple) | ]", "unknown mark #purple in rule node", 2, 13),
+    (parse_host, "[ (n0, 1) | (e0, n0, n0, empty #grey) ]",
+     "unknown mark #grey in host edge", 1, 33),
+    (_rule, "[ (1(R), x) | (e1, 1, 1, empty #grey) ]",
+     "unknown mark #grey in rule edge", 2, 33),
+    (parse_host, "[ (n0, 1 #any) | ]", "unknown mark #any in host node", 1, 11),
+    (parse_host, "[ (n0, 1) | (e0, n0, n0, empty #any) ]",
+     "unknown mark #any in host edge", 1, 33),
+    (_rule, "[ (1(R), x #any) | ]", None, None, None),
+    (_rule, "[ (1(R), x) | (e1, 1, 1, empty #any) ]", None, None, None),
+    (parse_host, "[ (n0, x) | ]", "expected an integer or string atom", 1, 8),
+    (_rule, "[ (1(R), z) | ]", "undeclared variable 'z'", 2, 10),
+])
+def test_graph_grammar_errors(parse, text, fragment, line, col):
+    if fragment is None:
+        lhs = parse(text).lhs
+        marks = [pn.mark for pn in lhs.nodes.values()] + [pe.mark for pe in lhs.edges]
+        assert "any" in marks
+        return
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert fragment in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (line, col)
