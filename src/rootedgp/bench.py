@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .bst import program
 from .hostgraph import HostGraph
 from .interp import Call, Program, Seq, Status, run
-from .rules import MatchStats, find_match
+from .rules import MatchStats, apply_rule
 from .text import Op, append_instructions
 
 CSV_HEADER = "shape,n,op,reps,mean_ns,stddev_ns,rule_apps,anchors_tried"
@@ -173,10 +173,10 @@ def measure(shape: str, sizes, reps: int = 300,
         raise ValueError("need reps >= 1")
     rows = []
     ops_per_shape = DEGENERATE_OPS if shape == "degenerate" else ("triple",)
-    # Rules are compiled on their first use; do that before any timed run.
-    empty = HostGraph()
+    # Rules are compiled on their first application; apply each one to a
+    # throwaway graph, so no timed run pays for compiling what run calls.
     for rule in measurement_program(variant).rules.values():
-        find_match(rule, empty, MatchStats())
+        apply_rule(rule, HostGraph(), MatchStats())
     for size in sizes:
         base = _base_graph(shape, size)
         n = size if shape == "degenerate" else 2 ** size - 1

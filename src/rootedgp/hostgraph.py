@@ -10,6 +10,11 @@ so an enclosing rollback still undoes the committed work.  The journal
 holds inverse operations rather than snapshots: rollback costs O(changes),
 not O(graph).
 
+Adjacency lists are kept in ascending edge id.  A new edge's id is always
+the largest in the graph, because a rollback rewinds the edge allocator
+together with removing the edges made after it, so a new edge is appended;
+only an edge that a rollback restores is inserted in order.
+
 Roots are filed by mark, as in GP 2: one registry per node mark, each
 kept in rooting order, least recently rooted first, so a rooted anchor
 with a concrete mark reads only the roots that can pass its mark test,
@@ -225,7 +230,9 @@ class HostGraph:
             raise GraphError(f"invalid edge mark {mark!r}")
         eid = self._next_edge
         self._next_edge += 1
-        self._raw_insert_edge(eid, src, tgt, tuple(label), mark)
+        self.edges[eid] = EdgeRec(src, tgt, tuple(label), mark)
+        self.out_adj[src].append(eid)
+        self.in_adj[tgt].append(eid)
         self._record(("+e", eid))
         return eid
 

@@ -19,7 +19,10 @@ from typing import Optional
 
 from .errors import DivergenceError, ValidationError
 from .hostgraph import HostGraph
-from .rules import MatchStats, apply_match, find_match, validate_rule
+from .rules import MatchStats, apply_rule, validate_rule
+# Not called here (rules apply through apply_rule); perfbench/tracing.py
+# wraps these two names in this module's namespace.
+from .rules import apply_match, find_match  # noqa: F401
 
 DEFAULT_MAX_ITERS = 10_000_000
 
@@ -185,10 +188,8 @@ def run(
     SUCCESS, FAILURE, BRK = Status.SUCCESS, Status.FAILURE, Status.BREAK
 
     def apply(rule) -> bool:
-        m = find_match(rule, g, stats)
-        if m is None:
+        if not apply_rule(rule, g, stats):
             return False
-        apply_match(rule, m, g, stats)
         if on_apply is not None:
             on_apply(rule.name)
         return True

@@ -14,15 +14,22 @@ Extension candidates are enumerated from the adjacency of already-matched
 nodes only, so matching a rule whose pattern hangs off roots or rare
 marks costs O(degree), independent of host size.
 
-The plan is not interpreted.  On a rule's first match or application it
-is compiled, with compile() and exec(), into two straight-line Python
-functions, as GP 2's compiler emits one C matcher per rule: the matcher
-runs one nested loop per plan step and tests rootedness, marks, constant
-atoms, variable kinds, repeated variables, injectivity, the condition and
-the dangling condition as comparisons on local variables; the rewriter
-performs the rule's deletions, relabellings and creations with the rhs
-labels built in place.  validate_rule drops both functions, so an edited
-rule is compiled afresh.
+The plan is not interpreted.  It is compiled, with compile() and exec(),
+into straight-line Python, as GP 2's compiler emits one C function per
+rule.  The plan becomes one nested loop per step that tests rootedness,
+marks, constant atoms, variable kinds, repeated variables, injectivity,
+the condition and the dangling condition as comparisons on local
+variables.  The rewrite is one block of code that deletes, relabels,
+remarks, reroots and creates directly in the host graph's stores, builds
+the rhs labels in place, and journals exactly what the HostGraph mutators
+would.  Each rule has one fused application, apply_rule: the loop nest,
+with the rewrite at the first match, reading the matched nodes, edges and
+variables from the loop's locals; the interpreter applies rules only
+through it.  find_match (the same loop nest, ending in a Match) and
+apply_match (the same rewrite, after unpacking a Match) serve callers that
+inspect a match before applying it.  Each function is compiled on its
+first use, and validate_rule drops them all, so an edited rule is
+compiled afresh.
 
 A match must be injective on nodes and edges, preserve rootedness in both
 directions, satisfy mark compatibility (the `any` wildcard accepts the
@@ -37,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ValidationError
-from .hostgraph import EDGE_MARKS, NODE_MARKS, HostGraph
+from .hostgraph import EDGE_MARKS, NODE_MARKS, EdgeRec, HostGraph, NodeRec
 from .labels import (
     AndC, ArithT, CmpC, DegT, IntT, LabelPattern, NotC, OrC, VarT, cond_refs,
 )
@@ -84,6 +91,7 @@ class Rule:
     # Compiled from the above on first use; validate_rule resets them.
     matcher: object = field(default=None, compare=False, repr=False)
     rewriter: object = field(default=None, compare=False, repr=False)
+    applier: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -239,9 +247,8 @@ def validate_rule(rule: Rule) -> list:
                     errors.append(f"rule {rule.name}: undeclared variable {v!r}")
                 elif side_name == "lhs":
                     lhs_vars.add(v)
-            if side_name == "lhs":
-                if pn.mark not in NODE_MARKS and pn.mark != "any":
-                    errors.append(f"rule {rule.name}: bad node mark {pn.mark!r}")
+            if pn.mark not in NODE_MARKS and pn.mark != "any":
+                errors.append(f"rule {rule.name}: bad node mark {pn.mark!r}")
         for pe in side.edges:
             if pe.src not in side.nodes or pe.tgt not in side.nodes:
                 errors.append(f"rule {rule.name}: edge endpoint missing on {side_name}")
@@ -289,7 +296,7 @@ def validate_rule(rule: Rule) -> list:
         warnings.append(f"rule {rule.name}: no rooted node in left-hand side")
 
     rule.plan = _build_plan(rule)
-    rule.matcher = rule.rewriter = None
+    rule.matcher = rule.rewriter = rule.applier = None
     return warnings
 
 
@@ -307,8 +314,19 @@ _KIND_FAILS = {          # test on local {0} that rejects an atom of the kind
 }
 
 
+def _may_share(a: PatternNode, b: PatternNode) -> bool:
+    """Can one host node pass the root and mark tests of both patterns?"""
+    if a.rooted != b.rooted:
+        return False
+    if a.mark == b.mark:
+        return True
+    if "any" in (a.mark, b.mark):
+        return "none" not in (a.mark, b.mark)
+    return False
+
+
 class _Codegen:
-    """Source of one rule's matcher and rewriter.
+    """Source of one rule's matcher, rewriter and fused application.
 
     Rule data enters the source only as integers and as the repr() of exact
     int, str and bool constants (atoms, marks, the rule name).  Variable
@@ -318,18 +336,11 @@ class _Codegen:
 
     def __init__(self, rule: Rule):
         self.rule = rule
-        self.ns = {"Match": Match}
+        self.ns = {"Match": Match, "NodeRec": NodeRec, "EdgeRec": EdgeRec}
         self.funcs = []        # finished function sources
-        self.stack = []        # per open function: (caller's lines, is_top)
         self.lines = []
         self.depth = 1         # indentation of the next line
-        self.loops = 0         # loops open in the current function
-        self.fail = "return None"
-        self.vars = {}         # variable name -> (local, kind of its binding slot)
-        self.nodes = {}        # pid -> (local, pattern node)
-        self.edges = []        # (lhs edge index, local, pattern edge)
-        self.sources = {}      # anchor source -> local holding its candidates
-        # lhs nodes outside the interface, which the rewriter deletes
+        # lhs nodes outside the interface, which the rewrite deletes
         self.deleted = sorted(set(rule.lhs.nodes) - rule.interface)
 
     def emit(self, line: str) -> None:
@@ -345,11 +356,21 @@ class _Codegen:
         self.ns[name] = value
         return name
 
-    # -- matcher --------------------------------------------------------------
+    # -- search ---------------------------------------------------------------
 
-    def matcher(self) -> None:
+    def search(self, name: str) -> None:
+        """The plan's loop nest as function `name`: "match" returns a Match
+        or None, "apply" rewrites the graph at the first match and returns
+        whether there was one."""
         plan = self.rule.plan
-        self.open_function("match", "g, stats", top=True)
+        self.name = name
+        self.miss = "None" if name == "match" else "False"
+        self.stack = []        # per open function: (caller's lines, is_top)
+        self.vars = {}         # variable name -> (local, kind of its binding slot)
+        self.nodes = {}        # pid -> (local, pattern node)
+        self.edges = []        # (lhs edge index, local, pattern edge)
+        self.sources = {}      # anchor source -> local holding its candidates
+        self.open_function(name, "g, stats", top=True)
         self.emit("nodes = g.nodes")
         self.emit("edges = g.edges")
         self.emit("out_adj = g.out_adj")
@@ -391,13 +412,13 @@ class _Codegen:
         self.lines = [f"def {name}({params}):"]
         self.depth = 1
         self.loops = 0
-        self.fail = "return None" if top else "return None, nx"
+        self.fail = f"return {self.miss}" if top else "return None, nx"
         if not top:
             self.emit("nx = 0")
 
     def close_function(self) -> None:
         self.depth = 1
-        self.return_("None")
+        self.return_(self.miss if self.stack[-1][1] else "None")
         self.funcs.append("\n".join(self.lines))
         self.lines, _ = self.stack.pop()
 
@@ -417,12 +438,12 @@ class _Codegen:
         self.emit(f"return {result}")
 
     def continue_in_helper(self) -> None:
-        live = ["stats", "nodes", "edges", "out_adj", "in_adj"]
+        live = ["g", "stats", "nodes", "edges", "out_adj", "in_adj"]
         live += self.sources.values()
         live += [local for local, _ in self.nodes.values()]
         live += [local for _, local, _ in self.edges]
         live += [local for local, _ in self.vars.values()]
-        name = f"cont{len(self.stack)}"
+        name = f"{self.name}_cont{len(self.stack)}"
         args = ", ".join(live)
         self.emit(f"m, k = {name}({args})")
         self.emit("nx += k")
@@ -456,29 +477,34 @@ class _Codegen:
             cands = f"reversed({cands})"
         self.loop(local, cands, "na" if i == 0 else "nx")
         self.emit(f"r = nodes[{local}]")
-        # A mark index or a mark's root registry holds only nodes with
-        # that mark.
-        self.bind_node(pid, local, test_mark=source in (("roots",), ("scan",)))
+        # A root registry holds only roots, and a mark index or a mark's
+        # root registry only nodes with that mark.
+        self.bind_node(pid, local, test_root=source[0] != "roots",
+                       test_mark=source in (("roots",), ("scan",)))
 
     def extend(self, eidx: int, known, new, use_out: bool) -> None:
         pe = self.rule.lhs.edges[eidx]
         e = f"e{len(self.edges)}"
         adj = "out_adj" if use_out else "in_adj"
         self.loop(e, f"{adj}[{self.nodes[known][0]}]", "nx")
-        self.test_unused(e, [local for _, local, _ in self.edges])
+        # A bound edge with another pattern node at this end has another
+        # host node there, so it is another edge.
+        self.test_unused(e, [local for _, local, other in self.edges
+                             if (other.src if use_out else other.tgt) == known])
         self.emit(f"r = edges[{e}]")
         self.test_edge(pe)
         local = f"n{len(self.nodes)}"
         self.emit(f"{local} = r.{'tgt' if use_out else 'src'}")
         self.emit(f"r = nodes[{local}]")
-        self.bind_node(new, local, test_mark=True)
+        self.bind_node(new, local, test_root=True, test_mark=True)
         self.edges.append((eidx, e, pe))
 
     def close(self, eidx: int) -> None:
         pe = self.rule.lhs.edges[eidx]
         e = f"e{len(self.edges)}"
         self.loop(e, f"out_adj[{self.nodes[pe.src][0]}]", "nx")
-        self.test_unused(e, [local for _, local, _ in self.edges])
+        self.test_unused(e, [local for _, local, other in self.edges
+                             if other.src == pe.src])
         self.emit(f"r = edges[{e}]")
         self.emit(f"if r.tgt != {self.nodes[pe.tgt][0]}: {self.fail}")
         self.test_edge(pe)
@@ -499,12 +525,16 @@ class _Codegen:
         self.emit("lab = r.label")
         self.unify(pe.label)
 
-    def bind_node(self, pid, local: str, test_mark: bool) -> None:
+    def bind_node(self, pid, local: str, test_root: bool, test_mark: bool) -> None:
         pn = self.rule.lhs.nodes[pid]
-        self.emit(f"if r.rooted != {self.lit(pn.rooted)}: {self.fail}")
+        if test_root:
+            self.emit(f"if r.rooted != {self.lit(pn.rooted)}: {self.fail}")
         if test_mark:
             self.test_mark(pn.mark)
-        self.test_unused(local, [other for other, _ in self.nodes.values()])
+        # The host node passed pn's root and mark tests; a node bound to a
+        # pattern node that no host node passes together with pn is another.
+        self.test_unused(local, [other for other, opn in self.nodes.values()
+                                 if _may_share(opn, pn)])
         self.emit("lab = r.label")
         self.unify(pn.label)
         self.nodes[pid] = (local, pn)
@@ -576,6 +606,11 @@ class _Codegen:
             self.emit(f"if len(in_adj[{local}]) != {n_in} or "
                       f"len(out_adj[{local}]) != {n_out}: {self.fail}")
         self.emit("stats.matches_found += 1")
+        if self.name == "apply":
+            for line in self.body():
+                self.emit(line)
+            self.return_("True")
+            return
         nmap = ", ".join(f"{self.lit(pid)}: {local}"
                          for pid, (local, _) in self.nodes.items())
         emap = ", ".join(f"{eidx}: {local}" for eidx, local, _ in self.edges)
@@ -618,52 +653,162 @@ class _Codegen:
             return f"len({adj}[{self.nodes[t.pid][0]}])"
         raise TypeError(f"not a term: {t!r}")
 
-    # -- rewriter -------------------------------------------------------------
+    # -- rewrite --------------------------------------------------------------
 
     def rewriter(self) -> None:
+        """`rewrite(m, g, stats)`: unpack a Match into the locals the
+        "match" search binds, then run the rewrite body."""
+        body = self.body()
+        head = ["def rewrite(m, g, stats):", "    nodes = g.nodes", "    edges = g.edges",
+                "    out_adj = g.out_adj", "    in_adj = g.in_adj"]
+        if self.nodes:
+            head.append("    n = m.nodes")
+            head += [f"    {local} = n[{self.lit(pid)}]"
+                     for pid, (local, _) in self.nodes.items()]
+        if self.edges:
+            head.append("    e = m.edges")
+            head += [f"    {local} = e[{eidx}]" for eidx, local, _ in self.edges]
+        if self.used:
+            head.append("    a = m.assignment")
+            head += [f"    {local} = a[{self.ref(name)}]"
+                     for name, (local, _) in self.vars.items() if local in self.used]
+        self.funcs.append("\n".join(head + ["    " + line for line in body]))
+
+    def body(self) -> list:
+        """The rewrite as lines indented relative to their block, reading
+        the host nodes, edges and variables from the search's locals.
+
+        It updates the stores directly and journals exactly the entries the
+        HostGraph mutators would, in the order apply_match documents.  Roots
+        and marks the lhs fixes are not tested again; a remarked root goes
+        through set_mark, which refiles the root registries.
+        """
         rule = self.rule
-        self.vars = {}
+        lhs, rhs = rule.lhs, rule.rhs
+        outer = self.lines, self.depth
         self.lines = []
-        self.depth = 1
-        if rule.lhs.edges:
-            self.emit("for eid in m.edges.values():")
-            self.emit("    g.delete_edge(eid)")
+        self.depth = 0
+        self.used = set()      # variable locals the rewrite reads
+        self.journaled = False
+        for _, e, pe in self.edges:
+            src, tgt = self.nodes[pe.src][0], self.nodes[pe.tgt][0]
+            self.emit(f"r = edges.pop({e})")
+            self.record(f"'-e', {e}, {src}, {tgt}, r.label, {self.known_mark(pe.mark)}")
+            self.emit(f"out_adj[{src}].remove({e})")
+            self.emit(f"in_adj[{tgt}].remove({e})")
         for pid in self.deleted:
-            self.emit(f"g.delete_node(n[{self.lit(pid)}])")
+            pn = lhs.nodes[pid]
+            h = self.nodes[pid][0]
+            mark = self.known_mark(pn.mark)
+            self.emit(f"r = nodes.pop({h})")
+            self.record(f"'-n', {h}, r.label, {mark}, {self.lit(pn.rooted)}, r.root_seq")
+            self.emit(f"del out_adj[{h}]")
+            self.emit(f"del in_adj[{h}]")
+            if pn.rooted:
+                self.emit(f"del g._roots[{mark}][{h}]")
+            if pn.mark != "none":
+                self.emit(f"g._by_mark[{mark}].discard({h})")
         imgs = {}
-        if rule.interface:
-            self.emit("nodes = g.nodes")
         for pid in sorted(rule.interface):
-            rn = rule.rhs.nodes[pid]
+            imgs[pid] = self.nodes[pid][0]
+            self.update_node(imgs[pid], lhs.nodes[pid], rhs.nodes[pid])
+        for pid in sorted(set(rhs.nodes) - rule.interface):
+            rn = rhs.nodes[pid]
             h = imgs[pid] = f"h{len(imgs)}"
-            self.emit(f"{h} = n[{self.lit(pid)}]")
-            self.emit(f"r = nodes[{h}]")
-            if rn.label != rule.lhs.nodes[pid].label:
-                self.emit(f"lab = {self.build(rn.label)}")
-                self.emit(f"if lab != r.label: g.set_label({h}, lab)")
-            if rn.mark != "any":
-                mark = self.lit(rn.mark)
-                self.emit(f"if r.mark != {mark}: g.set_mark({h}, {mark})")
-            rooted = self.lit(rn.rooted)
-            self.emit(f"if r.rooted != {rooted}: g.set_root({h}, {rooted})")
-        for pid in sorted(set(rule.rhs.nodes) - rule.interface):
-            rn = rule.rhs.nodes[pid]
-            h = imgs[pid] = f"h{len(imgs)}"
-            self.emit(f"{h} = g.add_node({self.build(rn.label)}, "
-                      f"{self.lit(rn.mark)}, {self.lit(rn.rooted)})")
-        for pe in rule.rhs.edges:
-            self.emit(f"g.add_edge({imgs[pe.src]}, {imgs[pe.tgt]}, "
-                      f"{self.build(pe.label)}, {self.lit(pe.mark)})")
+            mark = self.lit(rn.mark)
+            self.emit(f"{h} = g._next_node")
+            self.emit(f"g._next_node = {h} + 1")
+            if rn.rooted:
+                self.next_root_seq()
+            self.emit(f"nodes[{h}] = NodeRec({self.build(rn.label)}, {mark}, "
+                      f"{self.lit(rn.rooted)}, {'s' if rn.rooted else 0})")
+            self.emit(f"out_adj[{h}] = []")
+            self.emit(f"in_adj[{h}] = []")
+            if rn.rooted:
+                self.emit(f"g._roots[{mark}][{h}] = None")
+            if rn.mark != "none":
+                self.emit(f"g._by_mark[{mark}].add({h})")
+            self.record(f"'+n', {h}")
+        # A new edge id is the largest, so appending keeps adjacency sorted.
+        for pe in rhs.edges:
+            src, tgt = imgs[pe.src], imgs[pe.tgt]
+            self.emit("x = g._next_edge")
+            self.emit("g._next_edge = x + 1")
+            self.emit(f"edges[x] = EdgeRec({src}, {tgt}, {self.build(pe.label)}, "
+                      f"{self.lit(pe.mark)})")
+            self.emit(f"out_adj[{src}].append(x)")
+            self.emit(f"in_adj[{tgt}].append(x)")
+            self.record("'+e', x")
         self.emit("stats.applications += 1")
         self.emit("by_rule = stats.by_rule")
         name = self.lit(rule.name)
         self.emit(f"by_rule[{name}] = by_rule.get({name}, 0) + 1")
-        head = ["def rewrite(m, g, stats):", "    n = m.nodes"]
-        if self.vars:
-            head.append("    a = m.assignment")
-            head += [f"    {local} = a[{self.ref(name)}]"
-                     for name, (local, _) in self.vars.items()]
-        self.funcs.append("\n".join(head + self.lines))
+        body = self.lines
+        if self.journaled:
+            # Only the base frame open: its entries would be discarded.
+            body[:0] = ["fr = g._frames", "j = fr[-1][0] if len(fr) > 1 else []"]
+        self.lines, self.depth = outer
+        return body
+
+    def update_node(self, h: str, ln: PatternNode, rn: PatternNode) -> None:
+        """Relabel, remark and reroot one interface node, in that order."""
+        relabel = rn.label != ln.label
+        remark = rn.mark not in ("any", ln.mark)
+        reroot = rn.rooted != ln.rooted
+        if not (relabel or remark or reroot):
+            return
+        self.emit(f"r = nodes[{h}]")
+        if relabel:
+            self.emit(f"lab = {self.build(rn.label)}")
+            self.emit("if lab != r.label:")
+            self.depth += 1
+            self.record(f"'lb', {h}, r.label")
+            self.emit("r.label = lab")
+            self.depth -= 1
+        mark = ln.mark
+        if remark:
+            new = self.lit(rn.mark)
+            if ln.mark == "any":
+                self.emit(f"if r.mark != {new}:")
+                self.depth += 1
+            if ln.rooted:
+                self.emit(f"g.set_mark({h}, {new})")
+            else:
+                old = self.known_mark(ln.mark)
+                self.record(f"'mk', {h}, {old}")
+                if ln.mark != "none":
+                    self.emit(f"g._by_mark[{old}].discard({h})")
+                self.emit(f"r.mark = {new}")
+                if rn.mark != "none":
+                    self.emit(f"g._by_mark[{new}].add({h})")
+            if ln.mark == "any":
+                self.depth -= 1
+            mark = rn.mark
+        if reroot:
+            registry = f"g._roots[{self.known_mark(mark)}]"
+            if rn.rooted:
+                self.record(f"'rt', {h}, False, r.root_seq")
+                self.next_root_seq()
+                self.emit("r.rooted = True")
+                self.emit("r.root_seq = s")
+                self.emit(f"{registry}[{h}] = None")
+            else:
+                self.record(f"'rt', {h}, True, r.root_seq")
+                self.emit("r.rooted = False")
+                self.emit("r.root_seq = 0")
+                self.emit(f"del {registry}[{h}]")
+
+    def known_mark(self, mark: str) -> str:
+        """The mark of record `r`: a literal unless the lhs left it open."""
+        return "r.mark" if mark == "any" else self.lit(mark)
+
+    def record(self, entry: str) -> None:
+        self.emit(f"j.append(({entry}))")
+        self.journaled = True
+
+    def next_root_seq(self) -> None:
+        self.emit("s = g._root_seq + 1")
+        self.emit("g._root_seq = s")
 
     def build(self, pattern: LabelPattern) -> str:
         """Tuple display instantiating the pattern; list variables splice."""
@@ -672,35 +817,42 @@ class _Codegen:
             if item[0] == "c":
                 parts.append(self.lit(item[1]))
                 continue
-            name, kind = item[1], item[2]
-            if name not in self.vars:
-                self.new_var(name, kind)
-            local = self.vars[name][0]
-            parts.append(f"*{local}" if kind == "list" else local)
+            local = self.vars[item[1]][0]
+            self.used.add(local)
+            parts.append(f"*{local}" if item[2] == "list" else local)
         if len(parts) == 1:
             return f"({parts[0]},)"
         return f"({', '.join(parts)})"
 
 
-def _compile(rule: Rule) -> None:
+def _compile(rule: Rule, fused: bool) -> None:
+    """Compile the fused application, or the matcher and the rewriter."""
     gen = _Codegen(rule)
-    gen.matcher()
-    gen.rewriter()
+    if fused:
+        gen.search("apply")
+    else:
+        gen.search("match")
+        gen.rewriter()
     source = "\n\n".join(gen.funcs) + "\n"
     exec(compile(source, f"<rule {rule.name!r}>", "exec"), gen.ns)
-    rule.matcher = gen.ns["match"]
-    rule.rewriter = gen.ns["rewrite"]
+    if fused:
+        rule.applier = gen.ns["apply"]
+    else:
+        rule.matcher = gen.ns["match"]
+        rule.rewriter = gen.ns["rewrite"]
 
 
 def find_match(rule: Rule, g: HostGraph, stats: MatchStats) -> Optional[Match]:
     """First match of `rule` in `g` under the fixed search order, or None."""
     if rule.matcher is None:
-        _compile(rule)
+        _compile(rule, fused=False)
     return rule.matcher(g, stats)
 
 
 def apply_match(rule: Rule, m: Match, g: HostGraph, stats: MatchStats) -> None:
-    """Rewrite `g` in place.  Call immediately after a successful find_match.
+    """Rewrite `g` in place with a match that find_match returned on this
+    graph, unchanged since: the rewrite does not repeat the root and mark
+    tests the lhs fixes.
 
     All matched lhs edges are deleted and all rhs edges are created fresh;
     non-interface lhs nodes are deleted (the dangling condition guarantees
@@ -709,5 +861,13 @@ def apply_match(rule: Rule, m: Match, g: HostGraph, stats: MatchStats) -> None:
     goes through the journal, so the application rolls back cleanly.
     """
     if rule.rewriter is None:
-        _compile(rule)
+        _compile(rule, fused=False)
     rule.rewriter(m, g, stats)
+
+
+def apply_rule(rule: Rule, g: HostGraph, stats: MatchStats) -> bool:
+    """Apply `rule` at its first match, as find_match and apply_match
+    would in turn; False, with `g` unchanged, if it has no match."""
+    if rule.applier is None:
+        _compile(rule, fused=True)
+    return rule.applier(g, stats)

@@ -1,18 +1,23 @@
-"""Test support: brute-force reference matcher and random generators.
+"""Test support: brute-force reference matcher, reference rewrite and
+random generators.
 
 The reference matcher enumerates every injective node map outright and
 checks rootedness, marks, label unification, the rule condition, and the
 dangling condition, with no search plan and no pruning.  It is the
 independent oracle the engine's matcher is compared against on small
-graphs.
+graphs.  The reference rewrite applies a match through the public
+HostGraph mutators only, so the engine's compiled rewrite can be compared
+against it entry by entry in the journal.
 """
 from __future__ import annotations
 
 import itertools
 import random
 
-from rootedgp.hostgraph import HostGraph
-from rootedgp.labels import CmpC, DegT, IntT, LabelPattern, VarT, eval_cond, unify_label
+from rootedgp.hostgraph import EDGE_MARKS, NODE_MARKS, HostGraph
+from rootedgp.labels import (
+    CmpC, DegT, IntT, LabelPattern, VarT, eval_cond, eval_pattern, unify_label,
+)
 from rootedgp.rules import PatternEdge, PatternGraph, PatternNode, Rule, validate_rule
 
 
@@ -174,8 +179,62 @@ def _random_pattern(rng: random.Random, kinds: dict, atoms: list,
     return LabelPattern(items)
 
 
+def _lhs_vars(lhs: PatternGraph) -> list:
+    names = set()
+    for pn in lhs.nodes.values():
+        names.update(pn.label.variables())
+    for pe in lhs.edges:
+        names.update(pe.label.variables())
+    return sorted(names)
+
+
+def _rhs_pattern(rng: random.Random, names: list, kinds: dict,
+                 atoms: list) -> LabelPattern:
+    """A label built from lhs variables and constants."""
+    items = []
+    used_list = False
+    for _ in range(rng.randint(0, 3)):
+        pool = [n for n in names if kinds[n] != "list" or not used_list]
+        if pool and rng.random() < 0.6:
+            name = rng.choice(pool)
+            used_list = used_list or kinds[name] == "list"
+            items.append(("v", name, kinds[name]))
+        else:
+            items.append(("c", rng.choice(atoms)))
+    return LabelPattern(items)
+
+
+def _change_rhs(rng: random.Random, lhs: PatternGraph, rhs: PatternGraph,
+                kinds: dict, atoms: list) -> None:
+    """Relabel, remark (to and from `any`, roots too) and reroot interface
+    nodes, then add created nodes and rhs edges."""
+    names = _lhs_vars(lhs)
+    for pid in sorted(rhs.nodes):
+        rn = rhs.nodes[pid]
+        if rng.random() < 0.5:
+            rn.label = _rhs_pattern(rng, names, kinds, atoms)
+        if rng.random() < 0.5:
+            rn.mark = rng.choice(NODE_MARKS + ("any",))
+        if rng.random() < 0.4:
+            rn.rooted = not rn.rooted
+    first = max(lhs.nodes, default=0) + 1
+    for pid in range(first, first + rng.randint(0, 2)):
+        rhs.nodes[pid] = PatternNode(pid, _rhs_pattern(rng, names, kinds, atoms),
+                                     rng.choice(NODE_MARKS), rng.random() < 0.4)
+    if rhs.nodes:
+        ends = sorted(rhs.nodes)
+        for _ in range(rng.randint(0, 3)):
+            rhs.edges.append(PatternEdge(
+                rng.choice(ends), rng.choice(ends),
+                _rhs_pattern(rng, names, kinds, atoms), rng.choice(EDGE_MARKS)))
+
+
 def random_rule(rng: random.Random, kinds: dict = _KINDS, atoms: list = _ATOMS,
-                node_marks=_NODE_MARKS + ["any"], rooted_p: float = 0.4) -> Rule:
+                node_marks=_NODE_MARKS + ["any"], rooted_p: float = 0.4,
+                rhs_changes: bool = False) -> Rule:
+    """A small random rule.  By default the rhs copies the interface nodes
+    and has no edges; `rhs_changes` also changes, creates and links them
+    (after every draw the default makes, so a seed draws the same lhs)."""
     n = rng.randint(0, 3)
     pids = list(range(1, n + 1))
     lhs = PatternGraph()
@@ -204,12 +263,7 @@ def random_rule(rng: random.Random, kinds: dict = _KINDS, atoms: list = _ATOMS,
         rhs.nodes[pid] = PatternNode(pid, ln.label, ln.mark, ln.rooted)
     cond = None
     if rng.random() < 0.4:
-        lhs_vars = set()
-        for pn in lhs.nodes.values():
-            lhs_vars.update(pn.label.variables())
-        for pe in lhs.edges:
-            lhs_vars.update(pe.label.variables())
-        int_vars = [v for v in sorted(lhs_vars) if kinds[v] in ("int", "atom")]
+        int_vars = [v for v in _lhs_vars(lhs) if kinds[v] in ("int", "atom")]
         choices = []
         if int_vars:
             choices.append(VarT(rng.choice(int_vars)))
@@ -218,6 +272,63 @@ def random_rule(rng: random.Random, kinds: dict = _KINDS, atoms: list = _ATOMS,
         if choices:
             cond = CmpC(rng.choice(["=", "!=", "<", "<=", ">", ">="]),
                         rng.choice(choices), IntT(rng.randint(0, 3)))
+    if rhs_changes:
+        _change_rhs(rng, lhs, rhs, kinds, atoms)
     rule = Rule("fuzz", list(kinds.items()), lhs, rhs, frozenset(interface), cond)
     validate_rule(rule)
     return rule
+
+
+_VALUES = {
+    "int": [0, 1, 2, 3],
+    "char": ["a", "b", "'", "\\"],
+    "string": ["", "a", 'q"\'', "n\nl"],
+    "atom": [0, 1, 3, "a", "b\\s"],
+}
+
+
+def plant_lhs(rng: random.Random, rule: Rule, g: HostGraph) -> None:
+    """Add to `g` an image of the rule's lhs: nodes and edges with its
+    rootedness and marks (a random concrete one for `any`) and its labels
+    under one random assignment, so the rule often matches; the condition
+    and the dangling condition still decide."""
+    a = {}
+    for name, kind in rule.vars:
+        if kind == "list":
+            a[name] = tuple(rng.choice(_VALUES["atom"]) for _ in range(rng.randint(0, 2)))
+        else:
+            a[name] = rng.choice(_VALUES[kind])
+    image = {}
+    for pid, pn in sorted(rule.lhs.nodes.items()):
+        mark = rng.choice(NODE_MARKS[1:]) if pn.mark == "any" else pn.mark
+        image[pid] = g.add_node(eval_pattern(pn.label, a), mark, pn.rooted)
+    for pe in rule.lhs.edges:
+        mark = rng.choice(EDGE_MARKS[1:]) if pe.mark == "any" else pe.mark
+        g.add_edge(image[pe.src], image[pe.tgt], eval_pattern(pe.label, a), mark)
+
+
+def reference_apply(rule: Rule, m, g: HostGraph) -> None:
+    """Apply match `m` through the public HostGraph mutators, in the order
+    apply_match documents: delete the matched edges (in match order), then
+    the non-interface lhs nodes; relabel, remark and reroot each interface
+    node; create the non-interface rhs nodes, then the rhs edges."""
+    a = m.assignment
+    for eid in m.edges.values():
+        g.delete_edge(eid)
+    for pid in sorted(set(rule.lhs.nodes) - rule.interface):
+        g.delete_node(m.nodes[pid])
+    image = {}
+    for pid in sorted(rule.interface):
+        rn = rule.rhs.nodes[pid]
+        h = image[pid] = m.nodes[pid]
+        label = eval_pattern(rn.label, a)
+        if label != g.nodes[h].label:
+            g.set_label(h, label)
+        if rn.mark != "any" and rn.mark != g.nodes[h].mark:
+            g.set_mark(h, rn.mark)
+        g.set_root(h, rn.rooted)
+    for pid in sorted(set(rule.rhs.nodes) - rule.interface):
+        rn = rule.rhs.nodes[pid]
+        image[pid] = g.add_node(eval_pattern(rn.label, a), rn.mark, rn.rooted)
+    for pe in rule.rhs.edges:
+        g.add_edge(image[pe.src], image[pe.tgt], eval_pattern(pe.label, a), pe.mark)

@@ -1,12 +1,14 @@
 import pytest
 
+from rootedgp import bench
 from rootedgp.bench import (
     BenchRow, CSV_HEADER, build_balanced_graph, build_degenerate_graph,
-    gen_balanced, gen_degenerate, measure, measured_ops, rows_csv,
-    run_measured, scaling_report,
+    gen_balanced, gen_degenerate, measure, measured_ops, measurement_program,
+    rows_csv, run_measured, scaling_report,
 )
 from rootedgp.bst import extract_tree, go_apps, run_bst, tree_inorder
-from rootedgp.interp import Status
+from rootedgp.interp import Status, run
+from rootedgp.rules import validate_rule
 from rootedgp.text import Op
 
 
@@ -148,6 +150,22 @@ class TestMeasure:
     def test_bad_reps(self):
         with pytest.raises(ValueError):
             measure("degenerate", [4], reps=0)
+
+    def test_rules_compiled_before_first_timed_run(self, monkeypatch):
+        # A timed run must not pay for compiling what interp.run calls.
+        prog = measurement_program()
+        for rule in prog.rules.values():
+            validate_rule(rule)    # drops the compiled functions
+        uncompiled = []
+
+        def checked_run(program, g, **kw):
+            uncompiled.extend(name for name, rule in program.rules.items()
+                              if rule.applier is None)
+            return run(program, g, **kw)
+
+        monkeypatch.setattr(bench, "run", checked_run)
+        measure("degenerate", [4], reps=1)
+        assert uncompiled == []
 
 
 def _row(shape, n, op, mean_ns, rule_apps):

@@ -6,15 +6,16 @@ import pytest
 from rootedgp.errors import ValidationError
 from rootedgp.hostgraph import HostGraph
 from rootedgp.labels import ArithT, CmpC, DegT, IntT, LabelPattern, OrC, VarT
+from rootedgp.interp import Call, Program, Status, run
 from rootedgp.rules import (
     Match, MatchStats, PatternEdge, PatternGraph, PatternNode, Rule, apply_match,
-    find_match, validate_rule,
+    apply_rule, find_match, validate_rule,
 )
 from rootedgp.text import parse_host, parse_rule
 
 from matchref import (
-    brute_force_exists, check_match_valid, random_host, random_rule,
-    root_anchored,
+    brute_force_exists, check_match_valid, plant_lhs, random_host, random_rule,
+    reference_apply, root_anchored,
 )
 
 GO_RIGHT1 = """
@@ -61,6 +62,13 @@ class TestValidate:
     def test_wildcard_on_created_node_rejected(self):
         with pytest.raises(ValidationError):
             parse_rule("r() [ | ] => [ (1, empty #any) | ] interface = {}")
+
+    def test_bad_rhs_node_mark_rejected(self):
+        # The compiled rewrite files nodes under their rhs mark unchecked.
+        rule = parse_rule("r(a:int) [ (1(R), a) | ] => [ (1(R), a #grey) | ] interface = {1}")
+        rule.rhs.nodes[1].mark = "dashed"
+        with pytest.raises(ValidationError, match="bad node mark"):
+            validate_rule(rule)
 
     def test_interface_must_be_on_both_sides(self):
         with pytest.raises(ValidationError):
@@ -338,10 +346,15 @@ class TestCompiledRules:
                     frozenset({0}),
                     CmpC(">", VarT(f"k{n - 1}"), VarT("k0")))
         validate_rule(rule)
-        g = HostGraph()
-        ids = [g.add_node((k,), rooted=k == 0) for k in range(n)]
-        for a, b in zip(ids, ids[1:]):
-            g.add_edge(a, b)
+
+        def path_host():
+            g = HostGraph()
+            ids = [g.add_node((k,), rooted=k == 0) for k in range(n)]
+            for a, b in zip(ids, ids[1:]):
+                g.add_edge(a, b)
+            return g, ids
+
+        g, ids = path_host()
         stats = MatchStats()
         m = find_match(rule, g, stats)
         assert m is not None and list(m.nodes.values()) == ids
@@ -350,6 +363,18 @@ class TestCompiledRules:
         assert list(g.nodes) == [ids[0]] and not g.edges
         assert g.nodes[ids[0]].label == (0,)
         g.check_registries()
+        # The fused application rewrites inside the continuation helper.
+        fused, _ = path_host()
+        fused_stats = MatchStats()
+        assert apply_rule(rule, fused, fused_stats)
+        assert fused.state() == g.state()
+        assert _counters(fused_stats) == _counters(stats)
+        ran, _ = path_host()
+        ran_stats = MatchStats()
+        assert run(Program({"path": rule}, {"Main": Call("path")}), ran,
+                   stats=ran_stats) is Status.SUCCESS
+        assert ran.state() == g.state()
+        assert _counters(ran_stats) == _counters(stats)
 
     def test_same_mark_roots_in_separate_components(self):
         # Both anchors read the grey root registry; each loop needs its own
@@ -390,7 +415,80 @@ class TestCompiledRules:
         g, _, _ = traversal_host(parent_key=5, child_key=3)
         assert find_match(rule, g, MatchStats()) is None
         assert rule.matcher is not None and rule.rewriter is not None
+        assert not apply_rule(rule, g, MatchStats())
+        assert rule.applier is not None
         rule.cond = CmpC("<", VarT("m"), VarT("n"))
         validate_rule(rule)
-        assert rule.matcher is None and rule.rewriter is None
+        assert (rule.matcher, rule.rewriter, rule.applier) == (None, None, None)
         assert find_match(rule, g, MatchStats()) is not None
+        assert apply_rule(rule, g, MatchStats())
+        assert rule.applier is not None
+
+
+def _counters(stats: MatchStats) -> tuple:
+    return (stats.anchors_tried, stats.extension_steps, stats.matches_found,
+            stats.applications, stats.by_rule, stats.max_anchors_per_call,
+            stats.max_extensions_per_call)
+
+
+def _apply_split(rule, g, stats) -> bool:
+    m = find_match(rule, g, stats)
+    if m is None:
+        return False
+    apply_match(rule, m, g, stats)
+    return True
+
+
+def _apply_reference(rule, g, stats) -> bool:
+    m = find_match(rule, g, stats)
+    if m is None:
+        return False
+    reference_apply(rule, m, g)
+    stats.applications += 1
+    stats.by_rule[rule.name] = stats.by_rule.get(rule.name, 0) + 1
+    return True
+
+
+class TestCompiledRewrite:
+    def test_agrees_with_reference_rewrite(self):
+        # Random rules that relabel, remark, reroot, create and link, most
+        # on hosts holding an image of their lhs, each applied three ways
+        # inside an open scope: fused, find_match plus
+        # apply_match, and find_match plus the reference rewrite through
+        # the public mutators.  Everything observable must agree, and
+        # rolling the scope back must restore the graph.
+        rng = random.Random(8080)
+        applied = 0
+        for i in range(1800):
+            if i % 4 == 0:
+                rule = random_rule(rng, _HOSTILE_KINDS, _HOSTILE_ATOMS,
+                                   rhs_changes=True)
+                host = random_host(rng, node_labels=_HOSTILE_NODE_LABELS,
+                                   edge_labels=_HOSTILE_EDGE_LABELS)
+            else:
+                rule = random_rule(rng, rhs_changes=True)
+                host = random_host(rng)
+            if i % 5:
+                plant_lhs(rng, rule, host)
+            outcomes = []
+            for way in (apply_rule, _apply_split, _apply_reference):
+                g = host.clone()
+                before = g.state()
+                token = g.begin_scope()
+                stats = MatchStats()
+                result = way(rule, g, stats)
+                g.check_registries()
+                outcomes.append((
+                    result, g.state(), list(g._frames[-1][0]),
+                    [list(reg) for reg in g._roots.values()], _counters(stats)))
+                g.rollback_scope(token)
+                g.check_registries()
+                assert g.state() == before
+            assert outcomes[0] == outcomes[1] == outcomes[2]
+            # With only the base frame open nothing is journaled.
+            g = host.clone()
+            assert apply_rule(rule, g, MatchStats()) == outcomes[0][0]
+            assert g.state() == outcomes[0][1]
+            g.check_registries()
+            applied += outcomes[0][0]
+        assert applied > 1000
