@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .bst import program
 from .hostgraph import HostGraph
 from .interp import Call, Program, Seq, Status, run
-from .rules import MatchStats, apply_rule
+from .rules import MatchStats
 from .text import Op, append_instructions
 
 CSV_HEADER = "shape,n,op,reps,mean_ns,stddev_ns,rule_apps,anchors_tried"
@@ -173,10 +173,9 @@ def measure(shape: str, sizes, reps: int = 300,
         raise ValueError("need reps >= 1")
     rows = []
     ops_per_shape = DEGENERATE_OPS if shape == "degenerate" else ("triple",)
-    # Rules are compiled on their first application; apply each one to a
-    # throwaway graph, so no timed run pays for compiling what run calls.
-    for rule in measurement_program(variant).rules.values():
-        apply_rule(rule, HostGraph(), MatchStats())
+    # A program's control and its rules are compiled by its first run; run
+    # it once on a throwaway graph, so no timed run pays for compiling.
+    run(measurement_program(variant), HostGraph())
     for size in sizes:
         base = _base_graph(shape, size)
         n = size if shape == "degenerate" else 2 ** size - 1

@@ -10,18 +10,34 @@ iteration; the first failing iteration is rolled back and the loop stops
 with SUCCESS.  `break` escapes to the nearest enclosing loop and commits
 the partial iteration.  Failure of a try's then-branch is not caught;
 only the condition's failure is.
+
+Control is not interpreted.  A program's first run compiles its command
+tree, with compile() and exec(), into Python source, as GP 2's compiler
+emits C for control as well as for rules: one function per procedure,
+each command a run of statements that falls through on success and jumps
+on failure or break, each rule call a direct call of the rule's fused
+applier.  Each run passes in the appliers afresh, so a revalidated rule is
+applied by its new code; validate_program drops the compiled control.
+
+Scopes are opened only where they change the outcome.  A loop body or a
+try condition that is a rule call, a rule set, fail or skip opens none:
+it changes nothing unless it succeeds, so committing its success and
+rolling back its failure are both no-ops.  Other loop bodies and try
+conditions may fail after changing the graph and keep their scopes, and
+an if condition always keeps its scope, since its effects are discarded
+even when it succeeds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from .errors import DivergenceError, ValidationError
 from .hostgraph import HostGraph
-from .rules import MatchStats, apply_rule, validate_rule
-# Not called here (rules apply through apply_rule); perfbench/tracing.py
-# wraps these two names in this module's namespace.
+from .rules import MatchStats, fused_applier, validate_rule
+# Not called here (the compiled control calls the rules' fused appliers);
+# perfbench/tracing.py wraps these two names in this module's namespace.
 from .rules import apply_match, find_match  # noqa: F401
 
 DEFAULT_MAX_ITERS = 10_000_000
@@ -97,11 +113,14 @@ class Program:
     rules: dict               # name -> Rule
     procs: dict               # name -> Command
     warnings: list = None
+    # Compiled by the first run; validate_program resets it.
+    compiled: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 def validate_program(program: Program) -> list:
     """Name resolution, recursion rejection, break placement, and rule
     validation.  Returns accumulated warnings; raises ValidationError."""
+    program.compiled = None
     errors = []
     warnings = []
 
@@ -182,85 +201,221 @@ def run(
     """
     if stats is None:
         stats = MatchStats()
+    if program.compiled is None:
+        program.compiled = _compile(program)
+    names, control = program.compiled
     rules = program.rules
-    procs = program.procs
-    iters = 0
-    SUCCESS, FAILURE, BRK = Status.SUCCESS, Status.FAILURE, Status.BREAK
-
-    def apply(rule) -> bool:
-        if not apply_rule(rule, g, stats):
-            return False
-        if on_apply is not None:
-            on_apply(rule.name)
-        return True
-
-    def exec_(cmd) -> Status:
-        nonlocal iters
-        kind = type(cmd)
-        if kind is Call:
-            # A rule call is a one-rule rule set.
-            rule = rules.get(cmd.name)
-            if rule is None:
-                return exec_(procs[cmd.name])
-            return SUCCESS if apply(rule) else FAILURE
-        if kind is RuleSet:
-            for name in cmd.names:
-                if apply(rules[name]):
-                    return SUCCESS
-            return FAILURE
-        if kind is Seq:
-            for part in cmd.parts:
-                st = exec_(part)
-                if st is not SUCCESS:
-                    return st
-            return SUCCESS
-        if kind is Loop:
-            body = cmd.body
-            while True:
-                iters += 1
-                if iters > max_iters:
-                    raise DivergenceError(
-                        f"loop iteration budget exhausted ({max_iters})"
-                    )
-                token = g.begin_scope()
-                st = exec_(body)
-                if st is SUCCESS:
-                    g.commit_scope(token)
-                    continue
-                if st is FAILURE:
-                    g.rollback_scope(token)
-                else:
-                    g.commit_scope(token)
-                return SUCCESS
-        if kind is Try:
-            token = g.begin_scope()
-            st = exec_(cmd.cond)
-            if st is SUCCESS:
-                g.commit_scope(token)
-                return exec_(cmd.then_part)
-            if st is FAILURE:
-                g.rollback_scope(token)
-                return exec_(cmd.else_part)
-            raise AssertionError("break escaped a try condition")
-        if kind is If:
-            token = g.begin_scope()
-            st = exec_(cmd.cond)
-            g.rollback_scope(token)
-            if st is SUCCESS:
-                return exec_(cmd.then_part)
-            if st is FAILURE:
-                return exec_(cmd.else_part)
-            raise AssertionError("break escaped an if condition")
-        if kind is Break:
-            return BRK
-        if kind is Fail:
-            return FAILURE
-        if kind is Skip:
-            return SUCCESS
-        raise TypeError(f"not a command: {cmd!r}")
-
-    status = exec_(procs["Main"])
-    del exec_  # exec_'s closure refers to itself and holds g; leave no cycle
+    # Read at every run, so a rule revalidated since is applied by its
+    # fresh code.
+    appliers = [fused_applier(rules[name]) for name in names]
+    status = control(g, stats, on_apply, max_iters, *appliers)
     if status is Status.BREAK:
         raise AssertionError("break escaped Main")
     return status
+
+
+# Python allows 20 statically nested blocks in one function, and every
+# loop is one; deeper loops, and commands nested deeper than _MAX_DEPTH
+# (Python allows 100 levels of indentation), continue in a helper function.
+_MAX_LOOPS = 16
+_MAX_DEPTH = 48
+
+
+class _Codegen:
+    """Source of one program's control.
+
+    The source is one function, `control(g, stats, tr, max_iters, a0, ...)`,
+    taking the rules' fused appliers in the order of `program.rules`.  It
+    defines one nested function per procedure and per helper, each
+    returning a Status, and returns what Main's returns.  A command is
+    emitted as statements that fall through on success and run the lines
+    of a `fail` or a `brk` handler otherwise; each handler ends in a jump
+    (`return`, or `break` out of the innermost loop's `while`).
+    """
+
+    def __init__(self, program: Program):
+        self.rules = {name: i for i, name in enumerate(program.rules)}
+        self.procs = {name: f"p{i}" for i, name in enumerate(program.procs)}
+        self.funcs = []        # finished nested functions, as lines
+        self.helpers = 0
+        # The function being emitted; see `function`.
+        self.lines, self.depth, self.loops, self.tokens = [], 0, 0, 0
+        self.iterates = False
+        for name, body in program.procs.items():
+            self.function(self.procs[name], body)
+        params = "".join(f", a{i}" for i in range(len(self.rules)))
+        lines = [f"def control(g, stats, tr, max_iters{params}):", "    it = 0"]
+        for func in self.funcs:
+            lines += ["    " + line for line in func]
+        lines.append(f"    return {self.procs['Main']}()")
+        self.source = "\n".join(lines) + "\n"
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def function(self, name: str, cmd: Command) -> None:
+        """Emit `name()`, which runs `cmd` and returns its Status."""
+        outer = self.lines, self.depth, self.loops, self.tokens, self.iterates
+        self.lines = [f"def {name}():"]
+        self.depth = 1
+        self.loops = 0         # open loops
+        self.tokens = 0        # scope tokens so far
+        self.iterates = False  # has a loop, so counts iterations
+        self.command(cmd, ["return F"], ["return B"])
+        self.emit("return S")
+        if self.iterates:
+            self.lines.insert(1, "    nonlocal it")
+        self.funcs.append(self.lines)
+        self.lines, self.depth, self.loops, self.tokens, self.iterates = outer
+
+    def call(self, cmd: Command) -> str:
+        """A call that runs `cmd` in a function of its own."""
+        if type(cmd) is Call and cmd.name not in self.rules:
+            return f"{self.procs[cmd.name]}()"
+        self.helpers += 1
+        name = f"h{self.helpers}"
+        self.function(name, cmd)
+        return f"{name}()"
+
+    def token(self) -> str:
+        self.tokens += 1
+        return f"t{self.tokens}"
+
+    def test(self, cmd: Command) -> Optional[str]:
+        """For a command that changes nothing unless it succeeds (a rule
+        call, a rule set, fail or skip), an expression that runs it and is
+        true iff it succeeds; None for other commands.
+
+        A loop body or a try condition that is such a command opens no
+        scope: committing its success changes nothing, and its failure
+        has nothing to roll back."""
+        kind = type(cmd)
+        if kind is Call and cmd.name in self.rules:
+            names = (cmd.name,)
+        elif kind is RuleSet:
+            names = cmd.names
+        elif kind is Fail or kind is Skip:
+            return repr(kind is Skip)
+        else:
+            return None
+        test = " or ".join(
+            f"(a{self.rules[n]}(g, stats) and (tr is None or tr({n!r}) or True))"
+            for n in names)
+        return f"({test})" if len(names) > 1 else test
+
+    def command(self, cmd: Command, fail: list, brk: list) -> None:
+        kind = type(cmd)
+        if kind is Seq:
+            for part in cmd.parts:
+                self.command(part, fail, brk)
+            return
+        if kind is Skip:
+            return
+        if kind is Fail:
+            self.emit_lines(fail)
+            return
+        if kind is Break:
+            self.emit_lines(brk)
+            return
+        test = self.test(cmd)
+        if test is not None:
+            self.emit(f"if not {test}:")
+            self.depth += 1
+            self.emit_lines(fail)
+            self.depth -= 1
+            return
+        if kind not in (Call, Loop, Try, If):
+            raise TypeError(f"not a command: {cmd!r}")
+        if kind is Call or self.depth >= _MAX_DEPTH or (
+                kind is Loop and self.loops == _MAX_LOOPS):
+            self.dispatch(self.call(cmd), fail, brk)
+        elif kind is Loop:
+            self.loop(cmd.body)
+        else:
+            self.branch(cmd, fail, brk)
+
+    def emit_lines(self, lines: list) -> None:
+        for line in lines:
+            self.emit(line)
+
+    def dispatch(self, call: str, fail: list, brk: list) -> None:
+        self.emit(f"st = {call}")
+        self.emit("if st is not S:")
+        self.depth += 1
+        self.emit("if st is F:")
+        self.depth += 1
+        self.emit_lines(fail)
+        self.depth -= 1
+        self.emit_lines(brk)
+        self.depth -= 1
+
+    def block(self, first: list, cmd: Command, fail: list, brk: list) -> None:
+        """An indented block: the lines `first`, then `cmd`."""
+        self.depth += 1
+        n = len(self.lines)
+        self.emit_lines(first)
+        self.command(cmd, fail, brk)
+        if len(self.lines) == n:
+            self.emit("pass")
+        self.depth -= 1
+
+    def loop(self, body: Command) -> None:
+        self.emit("while True:")
+        self.depth += 1
+        self.loops += 1
+        self.iterates = True
+        self.emit("it += 1")
+        self.emit("if it > max_iters:")
+        self.emit("    raise DivergenceError("
+                  "f'loop iteration budget exhausted ({max_iters})')")
+        if self.test(body) is not None:
+            self.command(body, ["break"], ["break"])
+        else:
+            t = self.token()
+            self.emit(f"{t} = g.begin_scope()")
+            self.command(body, [f"g.rollback_scope({t})", "break"],
+                         [f"g.commit_scope({t})", "break"])
+            self.emit(f"g.commit_scope({t})")
+        self.loops -= 1
+        self.depth -= 1
+
+    def branch(self, cmd, fail: list, brk: list) -> None:
+        """A try or an if, its then and else parts in this function.  The
+        condition runs in a scope, except a try condition that `test`
+        can express."""
+        is_try = type(cmd) is Try
+        test = self.test(cmd.cond)
+        on_then = on_else = []
+        if not is_try or test is None:
+            t = self.token()
+            self.emit(f"{t} = g.begin_scope()")
+            self.emit(f"st = {test or self.call(cmd.cond)}")
+            if is_try:
+                on_then, on_else = [f"g.commit_scope({t})"], [f"g.rollback_scope({t})"]
+            else:
+                self.emit(f"g.rollback_scope({t})")
+            if test is None:
+                where = "a try" if is_try else "an if"
+                self.emit("if st is B:")
+                self.emit(f"    raise AssertionError('break escaped {where} condition')")
+                test = "st is S"
+            else:
+                test = "st"
+        if type(cmd.then_part) is Skip and not on_then:
+            self.emit(f"if not {test}:")
+            self.block(on_else, cmd.else_part, fail, brk)
+            return
+        self.emit(f"if {test}:")
+        self.block(on_then, cmd.then_part, fail, brk)
+        if on_else or type(cmd.else_part) is not Skip:
+            self.emit("else:")
+            self.block(on_else, cmd.else_part, fail, brk)
+
+
+def _compile(program: Program) -> tuple:
+    """(rule names, control function) of the program's compiled control."""
+    gen = _Codegen(program)
+    ns = {"S": Status.SUCCESS, "F": Status.FAILURE, "B": Status.BREAK,
+          "DivergenceError": DivergenceError}
+    exec(compile(gen.source, "<control>", "exec"), ns)
+    return tuple(program.rules), ns["control"]

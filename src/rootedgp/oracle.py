@@ -154,20 +154,46 @@ def gen_workload(seed: int, size: int, constraints: str = "sanitized-safe",
 
     faithful-safe: additionally inserts only fresh keys, deleted keys are
     never reused, and at most one search is emitted, as the last op.
+
+    Keys and list positions are drawn as random.Random.randint and
+    randrange draw them, from the same getrandbits calls, without their
+    argument checks, so a seed gives the same script as through them.
     """
     if constraints not in CONSTRAINTS:
         raise ValueError(f"unknown constraints {constraints!r}")
     if size < 1:
         raise ValueError("workload size must be at least 1")
+    if key_hi < key_lo:
+        raise ValueError(f"empty key range {key_lo}..{key_hi}")
     rng = random.Random(seed)
+    rand = rng.random
+    getrandbits = rng.getrandbits
+    span = key_hi - key_lo + 1
+    span_bits = span.bit_length()
     present: list = []
     present_set: set = set()
     retired: set = set()
     ops = []
 
+    def any_key():
+        """The draw of rng.randint(key_lo, key_hi)."""
+        r = getrandbits(span_bits)
+        while r >= span:
+            r = getrandbits(span_bits)
+        return key_lo + r
+
+    def present_key():
+        """present[i], i drawn as rng.randrange(len(present)) draws it."""
+        n = len(present)
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return present[r]
+
     def fresh_key():
         for _ in range(10_000):
-            k = rng.randint(key_lo, key_hi)
+            k = any_key()
             if k not in present_set and k not in retired:
                 return k
         raise ValueError("key space exhausted; widen the key range")
@@ -179,7 +205,7 @@ def gen_workload(seed: int, size: int, constraints: str = "sanitized-safe",
         ops.append(Op("i", k))
 
     def do_delete():
-        k = present[rng.randrange(len(present))]
+        k = present_key()
         present.remove(k)
         present_set.discard(k)
         retired.add(k)
@@ -187,31 +213,31 @@ def gen_workload(seed: int, size: int, constraints: str = "sanitized-safe",
 
     if constraints == "unrestricted":
         for _ in range(size):
-            r = rng.random()
+            r = rand()
             if r < 0.5 or not present:
-                do_insert(rng.randint(key_lo, key_hi))
+                do_insert(any_key())
             elif r < 0.75:
-                ops.append(Op("s", rng.randint(key_lo, key_hi)))
+                ops.append(Op("s", any_key()))
             else:
-                if rng.random() < 0.8:
+                if rand() < 0.8:
                     do_delete()
                 else:
-                    ops.append(Op("d", rng.randint(key_lo, key_hi)))
+                    ops.append(Op("d", any_key()))
         return ops
 
     if constraints == "sanitized-safe":
-        do_insert(rng.randint(key_lo, key_hi))
+        do_insert(any_key())
         while len(ops) < size:
-            r = rng.random()
+            r = rand()
             if r < 0.45 or not present:
                 # Duplicate inserts are fair game in sanitized mode.
-                if present and rng.random() < 0.2:
-                    do_insert(present[rng.randrange(len(present))])
+                if present and rand() < 0.2:
+                    do_insert(present_key())
                 else:
-                    do_insert(rng.randint(key_lo, key_hi))
+                    do_insert(any_key())
             elif r < 0.75:
-                if rng.random() < 0.7:
-                    ops.append(Op("s", present[rng.randrange(len(present))]))
+                if rand() < 0.7:
+                    ops.append(Op("s", present_key()))
                 else:
                     ops.append(Op("s", fresh_key()))
             else:
@@ -222,17 +248,17 @@ def gen_workload(seed: int, size: int, constraints: str = "sanitized-safe",
     # faithful-safe
     do_insert(fresh_key())
     budget = size - 1
-    want_search = budget > 0 and rng.random() < 0.8
+    want_search = budget > 0 and rand() < 0.8
     if want_search:
         budget -= 1
     for _ in range(budget):
-        if present and rng.random() < 0.35:
+        if present and rand() < 0.35:
             do_delete()
         else:
             do_insert(fresh_key())
     if want_search:
-        if present and rng.random() < 0.7:
-            ops.append(Op("s", present[rng.randrange(len(present))]))
+        if present and rand() < 0.7:
+            ops.append(Op("s", present_key()))
         else:
             ops.append(Op("s", fresh_key()))
     _check_workload(ops, constraints)

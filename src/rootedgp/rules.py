@@ -22,14 +22,14 @@ the condition and the dangling condition as comparisons on local
 variables.  The rewrite is one block of code that deletes, relabels,
 remarks, reroots and creates directly in the host graph's stores, builds
 the rhs labels in place, and journals exactly what the HostGraph mutators
-would.  Each rule has one fused application, apply_rule: the loop nest,
-with the rewrite at the first match, reading the matched nodes, edges and
-variables from the loop's locals; the interpreter applies rules only
-through it.  find_match (the same loop nest, ending in a Match) and
-apply_match (the same rewrite, after unpacking a Match) serve callers that
-inspect a match before applying it.  Each function is compiled on its
-first use, and validate_rule drops them all, so an edited rule is
-compiled afresh.
+would.  Each rule has one fused application (fused_applier, applied by
+apply_rule): the loop nest, with the rewrite at the first match, reading
+the matched nodes, edges and variables from the loop's locals; the
+interpreter's compiled control calls it directly.  find_match (the same
+loop nest, ending in a Match) and apply_match (the same rewrite, after
+unpacking a Match) serve callers that inspect a match before applying
+it.  Each function is compiled on its first use, and validate_rule drops
+them all, so an edited rule is compiled afresh.
 
 A match must be injective on nodes and edges, preserve rootedness in both
 directions, satisfy mark compatibility (the `any` wildcard accepts the
@@ -865,9 +865,15 @@ def apply_match(rule: Rule, m: Match, g: HostGraph, stats: MatchStats) -> None:
     rule.rewriter(m, g, stats)
 
 
+def fused_applier(rule: Rule):
+    """The rule's fused application, `apply(g, stats) -> bool`, compiled
+    on first use."""
+    if rule.applier is None:
+        _compile(rule, fused=True)
+    return rule.applier
+
+
 def apply_rule(rule: Rule, g: HostGraph, stats: MatchStats) -> bool:
     """Apply `rule` at its first match, as find_match and apply_match
     would in turn; False, with `g` unchanged, if it has no match."""
-    if rule.applier is None:
-        _compile(rule, fused=True)
-    return rule.applier(g, stats)
+    return fused_applier(rule)(g, stats)

@@ -7,18 +7,26 @@ dangling condition, with no search plan and no pruning.  It is the
 independent oracle the engine's matcher is compared against on small
 graphs.  The reference rewrite applies a match through the public
 HostGraph mutators only, so the engine's compiled rewrite can be compared
-against it entry by entry in the journal.
+against it entry by entry in the journal.  The reference interpreter
+walks a program's command tree, scoping every loop iteration and every
+condition, as the compiled control of interp.run must behave.
 """
 from __future__ import annotations
 
 import itertools
 import random
 
+from rootedgp.errors import DivergenceError
 from rootedgp.hostgraph import EDGE_MARKS, NODE_MARKS, HostGraph
+from rootedgp.interp import (
+    DEFAULT_MAX_ITERS, Break, Call, Fail, If, Loop, RuleSet, Seq, Skip, Status, Try,
+)
 from rootedgp.labels import (
     CmpC, DegT, IntT, LabelPattern, VarT, eval_cond, eval_pattern, unify_label,
 )
-from rootedgp.rules import PatternEdge, PatternGraph, PatternNode, Rule, validate_rule
+from rootedgp.rules import (
+    MatchStats, PatternEdge, PatternGraph, PatternNode, Rule, apply_rule, validate_rule,
+)
 
 
 def root_anchored(rule) -> bool:
@@ -332,3 +340,96 @@ def reference_apply(rule: Rule, m, g: HostGraph) -> None:
         image[pid] = g.add_node(eval_pattern(rn.label, a), rn.mark, rn.rooted)
     for pe in rule.rhs.edges:
         g.add_edge(image[pe.src], image[pe.tgt], eval_pattern(pe.label, a), pe.mark)
+
+
+def reference_run(program, g: HostGraph, max_iters: int = DEFAULT_MAX_ITERS,
+                  stats=None, on_apply=None) -> Status:
+    """Execute Main over `g` by walking the command tree, with a scope
+    around every loop iteration and every try or if condition; the
+    reference the compiled control of interp.run is compared against."""
+    if stats is None:
+        stats = MatchStats()
+    rules = program.rules
+    procs = program.procs
+    iters = 0
+    SUCCESS, FAILURE, BRK = Status.SUCCESS, Status.FAILURE, Status.BREAK
+
+    def apply(rule) -> bool:
+        if not apply_rule(rule, g, stats):
+            return False
+        if on_apply is not None:
+            on_apply(rule.name)
+        return True
+
+    def exec_(cmd) -> Status:
+        nonlocal iters
+        kind = type(cmd)
+        if kind is Call:
+            # A rule call is a one-rule rule set.
+            rule = rules.get(cmd.name)
+            if rule is None:
+                return exec_(procs[cmd.name])
+            return SUCCESS if apply(rule) else FAILURE
+        if kind is RuleSet:
+            for name in cmd.names:
+                if apply(rules[name]):
+                    return SUCCESS
+            return FAILURE
+        if kind is Seq:
+            for part in cmd.parts:
+                st = exec_(part)
+                if st is not SUCCESS:
+                    return st
+            return SUCCESS
+        if kind is Loop:
+            body = cmd.body
+            while True:
+                iters += 1
+                if iters > max_iters:
+                    raise DivergenceError(
+                        f"loop iteration budget exhausted ({max_iters})"
+                    )
+                token = g.begin_scope()
+                st = exec_(body)
+                if st is SUCCESS:
+                    g.commit_scope(token)
+                    continue
+                if st is FAILURE:
+                    g.rollback_scope(token)
+                else:
+                    g.commit_scope(token)
+                return SUCCESS
+        if kind is Try:
+            token = g.begin_scope()
+            st = exec_(cmd.cond)
+            if st is SUCCESS:
+                g.commit_scope(token)
+                return exec_(cmd.then_part)
+            if st is FAILURE:
+                g.rollback_scope(token)
+                return exec_(cmd.else_part)
+            raise AssertionError("break escaped a try condition")
+        if kind is If:
+            token = g.begin_scope()
+            st = exec_(cmd.cond)
+            g.rollback_scope(token)
+            if st is SUCCESS:
+                return exec_(cmd.then_part)
+            if st is FAILURE:
+                return exec_(cmd.else_part)
+            raise AssertionError("break escaped an if condition")
+        if kind is Break:
+            return BRK
+        if kind is Fail:
+            return FAILURE
+        if kind is Skip:
+            return SUCCESS
+        raise TypeError(f"not a command: {cmd!r}")
+
+    try:
+        status = exec_(procs["Main"])
+    finally:
+        del exec_  # exec_'s closure refers to itself and holds g; leave no cycle
+    if status is Status.BREAK:
+        raise AssertionError("break escaped Main")
+    return status

@@ -7,7 +7,7 @@ from rootedgp.bench import (
     rows_csv, run_measured, scaling_report,
 )
 from rootedgp.bst import extract_tree, go_apps, run_bst, tree_inorder
-from rootedgp.interp import Status, run
+from rootedgp.interp import Status, validate_program
 from rootedgp.rules import validate_rule
 from rootedgp.text import Op
 
@@ -156,15 +156,24 @@ class TestMeasure:
         prog = measurement_program()
         for rule in prog.rules.values():
             validate_rule(rule)    # drops the compiled functions
+        prog.warnings = validate_program(prog)    # drops the compiled control
+        assert prog.compiled is None
         uncompiled = []
+        timed = 0
 
-        def checked_run(program, g, **kw):
+        def checked_run_measured(base, ops, variant="sanitized"):
+            nonlocal timed
+            timed += 1
+            program = measurement_program(variant)
             uncompiled.extend(name for name, rule in program.rules.items()
                               if rule.applier is None)
-            return run(program, g, **kw)
+            if program.compiled is None:
+                uncompiled.append("control")
+            return run_measured(base, ops, variant)
 
-        monkeypatch.setattr(bench, "run", checked_run)
+        monkeypatch.setattr(bench, "run_measured", checked_run_measured)
         measure("degenerate", [4], reps=1)
+        assert timed == 3
         assert uncompiled == []
 
 

@@ -1,13 +1,17 @@
 import gc
+import random
 
 import pytest
 
+from matchref import plant_lhs, random_rule, reference_run
+from rootedgp.bench import build_degenerate_graph, measured_ops, run_measured
 from rootedgp.errors import DivergenceError, ValidationError
 from rootedgp.hostgraph import HostGraph
 from rootedgp.interp import (
-    BREAK, FAIL, SKIP, Call, If, Loop, Program, RuleSet, Seq, Status, Try,
-    run, validate_program,
+    BREAK, DEFAULT_MAX_ITERS, FAIL, SKIP, Call, If, Loop, Program, RuleSet, Seq,
+    Status, Try, _Codegen, run, validate_program,
 )
+from rootedgp.rules import MatchStats, validate_rule
 from rootedgp.text import parse_program, parse_rule
 
 
@@ -170,3 +174,222 @@ def test_one_armed_forms_desugar_with_skip():
     """)
     main = p.procs["Main"]
     assert main == Seq((Try(Call("r"), SKIP, SKIP), If(Call("r"), Call("r"), SKIP)))
+
+
+class TestCompiledControl:
+    def test_validate_program_drops_compiled_control(self):
+        p = prog_of(Main=Call("add"))
+        assert p.compiled is None
+        run(p, HostGraph())
+        assert p.compiled is not None
+        validate_program(p)
+        assert p.compiled is None
+
+    def test_revalidated_rule_is_applied_by_fresh_code(self):
+        p = prog_of(Main=Call("add"))
+        g = HostGraph()
+        run(p, g)
+        control = p.compiled
+        rule = p.rules["add"]
+        rule.rhs.nodes[1].label = parse_rule(
+            "add() [ | ] => [ (1, 2) | ] interface = {}").rhs.nodes[1].label
+        validate_rule(rule)
+        assert rule.applier is None
+        run(p, g)
+        assert p.compiled is control
+        assert sorted(rec.label for rec in g.nodes.values()) == [(1,), (2,)]
+
+    @pytest.mark.parametrize("op, scopes", [("insert", 2), ("search", 1), ("delete", 3)])
+    def test_chain_op_opens_as_many_scopes_at_any_length(self, monkeypatch, op, scopes):
+        # Only the main loop's iteration, an if condition and a try whose
+        # condition is a procedure open a scope; the descent opens none.
+        opened = []
+        begin = HostGraph.begin_scope
+
+        def counting_begin(g):
+            opened.append(1)
+            return begin(g)
+
+        monkeypatch.setattr(HostGraph, "begin_scope", counting_begin)
+        for n in (100, 1000):
+            del opened[:]
+            status, stats, _ = run_measured(build_degenerate_graph(n),
+                                            measured_ops("degenerate", n, op))
+            assert status is Status.SUCCESS and stats.applications > n
+            assert len(opened) == scopes, n
+
+
+def _counters(stats: MatchStats) -> tuple:
+    return (stats.anchors_tried, stats.extension_steps, stats.matches_found,
+            stats.applications, stats.by_rule, stats.max_anchors_per_call,
+            stats.max_extensions_per_call)
+
+
+def _outcome(runner, program, g, max_iters):
+    """Everything a run shows, run inside a scope that is then rolled back,
+    which must restore the graph exactly.  The registries are checked after
+    every application and at the end."""
+    before = g.state()
+    token = g.begin_scope()
+    stats = MatchStats()
+    trace = []
+
+    def on_apply(name):
+        trace.append(name)
+        g.check_registries()
+
+    try:
+        result = runner(program, g, max_iters=max_iters, stats=stats,
+                        on_apply=on_apply)
+    except DivergenceError as e:
+        result = str(e)
+    g.check_registries()
+    after = g.state()
+    # A diverging run leaves the scopes it was in open.
+    for t in range(g.begin_scope(), token - 1, -1):
+        g.rollback_scope(t)
+    assert g.state() == before
+    return result, trace, _counters(stats), after
+
+
+def _agree(program, host, max_iters=DEFAULT_MAX_ITERS):
+    """Compiled and reference runs show the same on copies of `host`."""
+    want = _outcome(reference_run, program, host.clone(), max_iters)
+    got = _outcome(run, program, host.clone(), max_iters)
+    assert got == want
+    return got
+
+
+class _ProgramGen:
+    """Random valid programs: every command kind, procedures calling only
+    procedures declared before them, and break only where a loop catches
+    it."""
+
+    def __init__(self, rng, rules):
+        self.rng = rng
+        self.rules = rules
+        self.procs = {}
+        self.breaks = {}       # procedure -> can its break escape it?
+
+    def command(self, in_loop: bool, depth: int):
+        rng = self.rng
+        kinds = ["rule", "set", "fail", "skip"]
+        if in_loop:
+            kinds.append("break")
+        callable_ = [p for p in self.procs if in_loop or not self.breaks[p]]
+        if callable_:
+            kinds.append("proc")
+        if depth > 0:
+            kinds += ["seq", "seq", "loop", "loop", "try", "try", "if"]
+        kind = rng.choice(kinds)
+        if kind == "rule":
+            return Call(rng.choice(self.rules))
+        if kind == "set":
+            return RuleSet(tuple(rng.sample(self.rules, rng.randint(1, len(self.rules)))))
+        if kind == "fail":
+            return FAIL
+        if kind == "skip":
+            return SKIP
+        if kind == "break":
+            return BREAK
+        if kind == "proc":
+            return Call(rng.choice(callable_))
+        if kind == "seq":
+            return Seq(tuple(self.command(in_loop, depth - 1)
+                             for _ in range(rng.randint(2, 4))))
+        if kind == "loop":
+            return Loop(self.command(True, depth - 1))
+        cls = Try if kind == "try" else If
+        return cls(self.command(False, depth - 1), self.command(in_loop, depth - 1),
+                   self.command(in_loop, depth - 1))
+
+    def program(self, rules: dict) -> Program:
+        for i in range(self.rng.randint(0, 3)):
+            name = f"P{i}"
+            breaks = self.rng.random() < 0.5
+            self.procs[name] = self.command(breaks, self.rng.randint(0, 3))
+            self.breaks[name] = breaks
+        procs = dict(self.procs)
+        procs["Main"] = self.command(False, self.rng.randint(1, 4))
+        p = Program(rules, procs)
+        p.warnings = validate_program(p)
+        return p
+
+
+def test_compiled_control_matches_reference_on_random_programs():
+    statuses = set()
+    for seed in range(2000):
+        rng = random.Random(seed)
+        rules = {}
+        host = HostGraph()
+        for i in range(rng.randint(1, 4)):
+            rule = random_rule(rng, rhs_changes=True)
+            rule.name = f"r{i}"
+            rules[rule.name] = rule
+            for _ in range(rng.randint(0, 2)):
+                plant_lhs(rng, rule, host)
+        program = _ProgramGen(rng, list(rules)).program(rules)
+        result = _agree(program, host, max_iters=rng.randint(1, 50))[0]
+        statuses.add(result if isinstance(result, Status) else "diverged")
+    assert statuses == {Status.SUCCESS, Status.FAILURE, "diverged"}
+
+
+def _consume_program(procs) -> Program:
+    consume = parse_rule("consume(a:int) [ (1, a) | ] => [ | ] interface = {}")
+    add = parse_rule("add() [ | ] => [ (1, 1) | ] interface = {}")
+    p = Program({"consume": consume, "add": add}, procs)
+    p.warnings = validate_program(p)
+    return p
+
+
+def _host(nodes: int) -> HostGraph:
+    g = HostGraph()
+    for k in range(nodes):
+        g.add_node((k,))
+    return g
+
+
+def test_long_sequence_compiles_flat():
+    parts = []
+    for i in range(300):
+        parts.append([Call("consume"), Try(Call("consume"), SKIP, Call("add")),
+                      Loop(RuleSet(("consume",))), If(Call("add"), SKIP, FAIL),
+                      Call("add")][i % 5])
+    p = _consume_program({"Main": Seq(tuple(parts))})
+    for max_iters in (DEFAULT_MAX_ITERS, 40):
+        _agree(p, _host(30), max_iters)
+    # One statement level per part: the sequence does not nest.
+    widest = max(len(line) - len(line.lstrip()) for line in _Codegen(p).source.splitlines())
+    assert widest <= 4 * 6
+
+
+def test_deeply_nested_loops_compile():
+    cmd = Loop(Call("consume"))
+    for _ in range(29):
+        cmd = Loop(Seq((Try(Call("add"), cmd, SKIP), Call("consume"), BREAK)))
+    p = _consume_program({"Main": cmd})
+    assert _agree(p, _host(3))[0] is Status.SUCCESS
+    assert isinstance(_agree(p, _host(3), max_iters=20)[0], str)
+
+
+def test_deep_nesting_continues_in_helpers():
+    cmd = Call("consume")
+    for i in range(300):
+        cmd = [Try(Call("add"), cmd, SKIP), If(Call("consume"), cmd, Call("add")),
+               Loop(Seq((cmd, BREAK)))][i % 3]
+    p = _consume_program({"Main": cmd})
+    assert _agree(p, _host(3), max_iters=1000)[0] is Status.SUCCESS
+    source = _Codegen(p).source
+    assert "def h1():" in source
+    assert max(len(line) - len(line.lstrip()) for line in source.splitlines()) < 4 * 100
+
+
+def test_procedure_chain_compiles_to_linear_source():
+    procs = {f"P{i}": Seq((Call(f"P{i + 1}"), Call(f"P{i + 1}"))) for i in range(20)}
+    procs["P20"] = Call("consume")
+    procs["Main"] = Call("P0")
+    p = _consume_program(procs)
+    result, trace, _, _ = _agree(p, _host(5))
+    assert result is Status.FAILURE and trace == ["consume"] * 5
+    # A dozen lines per procedure; inlining would double them per level.
+    assert len(_Codegen(p).source.splitlines()) <= 16 * len(procs)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from rootedgp.oracle import OracleTree, gen_workload, o_apply
+from oracleref import reference_gen_workload
+from rootedgp.oracle import CONSTRAINTS, OracleTree, gen_workload, o_apply
 from rootedgp.text import Op
 
 SIX_KEYS = [5, 2, 7, 1, 4, 8]
@@ -176,3 +177,31 @@ class TestGenWorkload:
     def test_bad_constraints_rejected(self):
         with pytest.raises(ValueError):
             gen_workload(1, 10, "loose")
+
+    def test_empty_key_range_rejected(self):
+        with pytest.raises(ValueError, match="empty key range"):
+            gen_workload(1, 10, "unrestricted", key_lo=5, key_hi=4)
+
+    def test_same_scripts_as_the_randint_reference(self):
+        # 3 constraints x 4 sizes x 6 key ranges x 100 seeds = 7200 cases,
+        # with narrow ranges that exhaust the keys and one that is empty.
+        # Errors must match too, the replay check's assertions included.
+        ranges = [(0, 0), (0, 1), (-3, 3), (0, 20), (0, 10_000), (5, 4)]
+        cases = 0
+        for constraints in CONSTRAINTS:
+            for size in (1, 2, 17, 60):
+                for key_lo, key_hi in ranges:
+                    for seed in range(100):
+                        args = (seed, size, constraints, key_lo, key_hi)
+                        cases += 1
+                        try:
+                            want = reference_gen_workload(*args)
+                        except (ValueError, AssertionError) as e:
+                            with pytest.raises(type(e)) as got:
+                                gen_workload(*args)
+                            # An empty range is worded by randrange there.
+                            if key_lo <= key_hi:
+                                assert str(got.value) == str(e), args
+                            continue
+                        assert gen_workload(*args) == want, args
+        assert cases == 7200
