@@ -383,8 +383,7 @@ class Mismatch:
     minimized: list
 
 
-def diff_against_oracle(ops, variant: str = "sanitized",
-                        prog: Optional[Program] = None) -> Optional[str]:
+def diff_against_oracle(ops, variant: str = "sanitized") -> Optional[str]:
     """Run the engine and the reference tree on the same script; describe
     the first disagreement, or return None if they agree.
 
@@ -392,7 +391,7 @@ def diff_against_oracle(ops, variant: str = "sanitized",
     op k exactly when the oracle says the key was present at op k."""
     g = build_instruction_graph(ops)
     stats = MatchStats()
-    status = run(prog or program(variant), g, stats=stats)
+    status = run(program(variant), g, stats=stats)
     if status is not Status.SUCCESS:
         return f"engine status {status.value}"
     try:
@@ -415,7 +414,7 @@ def diff_against_oracle(ops, variant: str = "sanitized",
     return None
 
 
-def minimize_ops(ops, variant: str, prog: Optional[Program] = None) -> list:
+def minimize_ops(ops, variant: str) -> list:
     """Greedy one-op-at-a-time shrink preserving the mismatch."""
     current = list(ops)
     shrunk = True
@@ -423,7 +422,7 @@ def minimize_ops(ops, variant: str, prog: Optional[Program] = None) -> list:
         shrunk = False
         for i in range(len(current)):
             candidate = current[:i] + current[i + 1:]
-            if candidate and diff_against_oracle(candidate, variant, prog):
+            if candidate and diff_against_oracle(candidate, variant):
                 current = candidate
                 shrunk = True
                 break

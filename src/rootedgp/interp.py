@@ -35,7 +35,7 @@ from typing import Optional
 
 from .errors import DivergenceError, ValidationError
 from .hostgraph import HostGraph
-from .rules import MatchStats, fused_applier, validate_rule
+from .rules import _MAX_LOOPS, MatchStats, fused_applier, validate_rule
 # Not called here (the compiled control calls the rules' fused appliers);
 # perfbench/tracing.py wraps these two names in this module's namespace.
 from .rules import apply_match, find_match  # noqa: F401
@@ -197,7 +197,8 @@ def run(
     iterations across the whole run; exceeding it raises DivergenceError.
 
     `on_apply`, when given, is called with each applied rule name, in
-    order.
+    order.  A diverging run commits the scopes it opened, so the graph is
+    left as it was when the budget ran out, inside the caller's scopes.
     """
     if stats is None:
         stats = MatchStats()
@@ -208,16 +209,21 @@ def run(
     # Read at every run, so a rule revalidated since is applied by its
     # fresh code.
     appliers = [fused_applier(rules[name]) for name in names]
-    status = control(g, stats, on_apply, max_iters, *appliers)
+    depth = len(g._frames)
+    try:
+        status = control(g, stats, on_apply, max_iters, *appliers)
+    except DivergenceError:
+        while len(g._frames) > depth:
+            g.commit_scope(len(g._frames) - 1)
+        raise
     if status is Status.BREAK:
         raise AssertionError("break escaped Main")
     return status
 
 
-# Python allows 20 statically nested blocks in one function, and every
-# loop is one; deeper loops, and commands nested deeper than _MAX_DEPTH
-# (Python allows 100 levels of indentation), continue in a helper function.
-_MAX_LOOPS = 16
+# Loops nested deeper than _MAX_LOOPS (see rules), and commands nested
+# deeper than _MAX_DEPTH (Python allows 100 levels of indentation),
+# continue in a helper function.
 _MAX_DEPTH = 48
 
 

@@ -153,7 +153,8 @@ def gen_workload(seed: int, size: int, constraints: str = "sanitized-safe",
     comparison against the oracle).
 
     faithful-safe: additionally inserts only fresh keys, deleted keys are
-    never reused, and at most one search is emitted, as the last op.
+    never reused, and at most one search is emitted, as the last op; if
+    the tree is empty by then, the last op is a fresh insert instead.
 
     Keys and list positions are drawn as random.Random.randint and
     randrange draw them, from the same getrandbits calls, without their
@@ -257,7 +258,9 @@ def gen_workload(seed: int, size: int, constraints: str = "sanitized-safe",
         else:
             do_insert(fresh_key())
     if want_search:
-        if present and rand() < 0.7:
+        if not present:
+            do_insert(fresh_key())
+        elif rand() < 0.7:
             ops.append(Op("s", present_key()))
         else:
             ops.append(Op("s", fresh_key()))

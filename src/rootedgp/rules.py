@@ -22,14 +22,14 @@ the condition and the dangling condition as comparisons on local
 variables.  The rewrite is one block of code that deletes, relabels,
 remarks, reroots and creates directly in the host graph's stores, builds
 the rhs labels in place, and journals exactly what the HostGraph mutators
-would.  Each rule has one fused application (fused_applier, applied by
-apply_rule): the loop nest, with the rewrite at the first match, reading
-the matched nodes, edges and variables from the loop's locals; the
-interpreter's compiled control calls it directly.  find_match (the same
-loop nest, ending in a Match) and apply_match (the same rewrite, after
-unpacking a Match) serve callers that inspect a match before applying
-it.  Each function is compiled on its first use, and validate_rule drops
-them all, so an edited rule is compiled afresh.
+would.  Each rule has one compiled rewrite, its fused application
+(fused_applier, applied by apply_rule): the loop nest, with the rewrite at
+the first match, reading the matched nodes, edges and variables from the
+loop's locals; the interpreter's compiled control calls it directly.
+find_match (the same loop nest, ending in a Match) is for inspection, and
+apply_match is a checked wrapper over the fused application for a caller
+that inspected the match first.  Each function is compiled on its first
+use, and validate_rule drops both, so an edited rule is compiled afresh.
 
 A match must be injective on nodes and edges, preserve rootedness in both
 directions, satisfy mark compatibility (the `any` wildcard accepts the
@@ -90,7 +90,6 @@ class Rule:
     plan: list = field(default_factory=list, compare=False, repr=False)
     # Compiled from the above on first use; validate_rule resets them.
     matcher: object = field(default=None, compare=False, repr=False)
-    rewriter: object = field(default=None, compare=False, repr=False)
     applier: object = field(default=None, compare=False, repr=False)
 
 
@@ -296,12 +295,13 @@ def validate_rule(rule: Rule) -> list:
         warnings.append(f"rule {rule.name}: no rooted node in left-hand side")
 
     rule.plan = _build_plan(rule)
-    rule.matcher = rule.rewriter = rule.applier = None
+    rule.matcher = rule.applier = None
     return warnings
 
 
-# Python allows 20 statically nested blocks in one function and every plan
-# step is one loop, so a longer plan continues in a helper function.
+# Python allows 20 statically nested blocks in one function, so generated
+# code (here one loop per plan step, in interp one per program loop) opens
+# at most this many loops in one function and continues in a helper.
 _MAX_LOOPS = 16
 
 _PY_CMP = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
@@ -326,7 +326,7 @@ def _may_share(a: PatternNode, b: PatternNode) -> bool:
 
 
 class _Codegen:
-    """Source of one rule's matcher, rewriter and fused application.
+    """Source of one rule's matcher or of its fused application.
 
     Rule data enters the source only as integers and as the repr() of exact
     int, str and bool constants (atoms, marks, the rule name).  Variable
@@ -655,32 +655,14 @@ class _Codegen:
 
     # -- rewrite --------------------------------------------------------------
 
-    def rewriter(self) -> None:
-        """`rewrite(m, g, stats)`: unpack a Match into the locals the
-        "match" search binds, then run the rewrite body."""
-        body = self.body()
-        head = ["def rewrite(m, g, stats):", "    nodes = g.nodes", "    edges = g.edges",
-                "    out_adj = g.out_adj", "    in_adj = g.in_adj"]
-        if self.nodes:
-            head.append("    n = m.nodes")
-            head += [f"    {local} = n[{self.lit(pid)}]"
-                     for pid, (local, _) in self.nodes.items()]
-        if self.edges:
-            head.append("    e = m.edges")
-            head += [f"    {local} = e[{eidx}]" for eidx, local, _ in self.edges]
-        if self.used:
-            head.append("    a = m.assignment")
-            head += [f"    {local} = a[{self.ref(name)}]"
-                     for name, (local, _) in self.vars.items() if local in self.used]
-        self.funcs.append("\n".join(head + ["    " + line for line in body]))
-
     def body(self) -> list:
         """The rewrite as lines indented relative to their block, reading
-        the host nodes, edges and variables from the search's locals.
-
-        It updates the stores directly and journals exactly the entries the
-        HostGraph mutators would, in the order apply_match documents.  Roots
-        and marks the lhs fixes are not tested again; a remarked root goes
+        the host nodes, edges and variables from the search's locals: it
+        deletes the matched edges, then the lhs nodes outside the interface,
+        relabels, remarks and reroots the interface nodes, then creates the
+        other rhs nodes and every rhs edge.  It updates the stores directly
+        and journals exactly what the HostGraph mutators would.  Roots and
+        marks the lhs fixes are not tested again; a remarked root goes
         through set_mark, which refiles the root registries.
         """
         rule = self.rule
@@ -688,7 +670,6 @@ class _Codegen:
         outer = self.lines, self.depth
         self.lines = []
         self.depth = 0
-        self.used = set()      # variable locals the rewrite reads
         self.journaled = False
         for _, e, pe in self.edges:
             src, tgt = self.nodes[pe.src][0], self.nodes[pe.tgt][0]
@@ -818,58 +799,46 @@ class _Codegen:
                 parts.append(self.lit(item[1]))
                 continue
             local = self.vars[item[1]][0]
-            self.used.add(local)
             parts.append(f"*{local}" if item[2] == "list" else local)
         if len(parts) == 1:
             return f"({parts[0]},)"
         return f"({', '.join(parts)})"
 
 
-def _compile(rule: Rule, fused: bool) -> None:
-    """Compile the fused application, or the matcher and the rewriter."""
+def _compile(rule: Rule, name: str):
+    """Compile the rule's "match" or "apply" function and return it."""
     gen = _Codegen(rule)
-    if fused:
-        gen.search("apply")
-    else:
-        gen.search("match")
-        gen.rewriter()
+    gen.search(name)
     source = "\n\n".join(gen.funcs) + "\n"
     exec(compile(source, f"<rule {rule.name!r}>", "exec"), gen.ns)
-    if fused:
-        rule.applier = gen.ns["apply"]
-    else:
-        rule.matcher = gen.ns["match"]
-        rule.rewriter = gen.ns["rewrite"]
+    return gen.ns[name]
 
 
 def find_match(rule: Rule, g: HostGraph, stats: MatchStats) -> Optional[Match]:
     """First match of `rule` in `g` under the fixed search order, or None."""
     if rule.matcher is None:
-        _compile(rule, fused=False)
+        rule.matcher = _compile(rule, "match")
     return rule.matcher(g, stats)
 
 
 def apply_match(rule: Rule, m: Match, g: HostGraph, stats: MatchStats) -> None:
-    """Rewrite `g` in place with a match that find_match returned on this
-    graph, unchanged since: the rewrite does not repeat the root and mark
-    tests the lhs fixes.
-
-    All matched lhs edges are deleted and all rhs edges are created fresh;
-    non-interface lhs nodes are deleted (the dangling condition guarantees
-    this is safe), interface nodes are relabeled, remarked, and rerooted
-    per the rhs, and non-interface rhs nodes are created.  Every mutation
-    goes through the journal, so the application rolls back cleanly.
+    """Rewrite `g` at `m`, the match find_match returned on `g`, unchanged
+    since; any other match raises ValueError and changes nothing.  Matching
+    is deterministic, so the fused application rewrites at `m` too; only
+    the application is counted, as find_match counted the search.
     """
-    if rule.rewriter is None:
-        _compile(rule, fused=False)
-    rule.rewriter(m, g, stats)
+    if m is None or find_match(rule, g, MatchStats()) != m:
+        raise ValueError(f"rule {rule.name}: not the first match on this graph")
+    fused_applier(rule)(g, MatchStats())
+    stats.applications += 1
+    stats.by_rule[rule.name] = stats.by_rule.get(rule.name, 0) + 1
 
 
 def fused_applier(rule: Rule):
     """The rule's fused application, `apply(g, stats) -> bool`, compiled
     on first use."""
     if rule.applier is None:
-        _compile(rule, fused=True)
+        rule.applier = _compile(rule, "apply")
     return rule.applier
 
 

@@ -426,8 +426,14 @@ def reference_run(program, g: HostGraph, max_iters: int = DEFAULT_MAX_ITERS,
             return SUCCESS
         raise TypeError(f"not a command: {cmd!r}")
 
+    depth = len(g._frames)
     try:
         status = exec_(procs["Main"])
+    except DivergenceError:
+        # Commit the scopes the run opened, as interp.run does.
+        while len(g._frames) > depth:
+            g.commit_scope(len(g._frames) - 1)
+        raise
     finally:
         del exec_  # exec_'s closure refers to itself and holds g; leave no cycle
     if status is Status.BREAK:

@@ -1,7 +1,8 @@
 """Test support: the workload generator as it was before its random draws
-were inlined, drawing through random.Random.randint and randrange.
-oracle.gen_workload must give the same script for every input, or raise
-the same kind of error."""
+were inlined, drawing through random.Random.randint and randrange, with
+one amendment made to both: a faithful-safe search due last on an emptied
+tree becomes a fresh insert.  oracle.gen_workload must give the same
+script for every input, or raise the same kind of error."""
 from __future__ import annotations
 
 import random
@@ -20,7 +21,8 @@ def reference_gen_workload(seed: int, size: int, constraints: str = "sanitized-s
     comparison against the oracle).
 
     faithful-safe: additionally inserts only fresh keys, deleted keys are
-    never reused, and at most one search is emitted, as the last op.
+    never reused, and at most one search is emitted, as the last op; if
+    the tree is empty by then, the last op is a fresh insert instead.
     """
     if constraints not in CONSTRAINTS:
         raise ValueError(f"unknown constraints {constraints!r}")
@@ -98,7 +100,9 @@ def reference_gen_workload(seed: int, size: int, constraints: str = "sanitized-s
         else:
             do_insert(fresh_key())
     if want_search:
-        if present and rng.random() < 0.7:
+        if not present:
+            do_insert(fresh_key())
+        elif rng.random() < 0.7:
             ops.append(Op("s", present[rng.randrange(len(present))]))
         else:
             ops.append(Op("s", fresh_key()))

@@ -345,23 +345,23 @@ class TestDifferential:
             ops = gen_workload(seed, 30, "faithful-safe")
             assert diff_against_oracle(ops, "faithful") is None, f"seed {seed}"
 
-    def test_harness_detects_injected_fault(self):
+    def test_harness_detects_injected_fault(self, monkeypatch):
         # loosen go_left1's guard so traversal walks past an exact hit;
         # the differential harness must notice and shrink a counterexample
         from rootedgp.bst import asset_text
         text = asset_text("bst_sanitized.gp2").replace(
             "where m < n and x < n", "where m <= n and x <= n")
-        broken = parse_program(text)
+        monkeypatch.setitem(bst._programs, "sanitized", parse_program(text))
         tripped = None
         for seed in range(10):
             ops = gen_workload(seed, 30, "sanitized-safe")
-            if diff_against_oracle(ops, prog=broken) is not None:
+            if diff_against_oracle(ops) is not None:
                 tripped = ops
                 break
         assert tripped is not None, "fault never reached; widen the battery"
-        minimized = minimize_ops(tripped, "sanitized", broken)
+        minimized = minimize_ops(tripped, "sanitized")
         assert 0 < len(minimized) <= len(tripped)
-        assert diff_against_oracle(minimized, prog=broken) is not None
+        assert diff_against_oracle(minimized) is not None
 
     def test_deep_trees_compare_without_recursion(self, monkeypatch):
         # Equal 5000-deep chains, built apart so no comparison can stop at

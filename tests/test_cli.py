@@ -161,6 +161,13 @@ class TestCheck:
                      "--variant", "faithful", "--constraints", "faithful-safe"])
         assert code == 0
 
+    def test_faithful_battery_of_short_scripts_ok(self, capsys):
+        # At size 3, many scripts delete every key before the final op.
+        code = main(["check", "--variant", "faithful", "--constraints",
+                     "faithful-safe", "--size", "3", "--seeds", "50"])
+        assert code == 0
+        assert "check ok" in capsys.readouterr().out
+
 
 class TestBench:
     def test_single_size_rejected(self, capsys):

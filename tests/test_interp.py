@@ -134,6 +134,20 @@ class TestSemantics:
         with pytest.raises(DivergenceError):
             run(p, HostGraph(), max_iters=100)
 
+    @pytest.mark.parametrize("runner", [run, reference_run])
+    def test_divergence_commits_the_scopes_it_opened(self, runner):
+        # Main = (add; (add; skip)!)! diverges inside two loop scopes.
+        p = prog_of(Main=Loop(Seq((Call("add"), Loop(Seq((Call("add"), SKIP)))))))
+        g = HostGraph()
+        before = g.state()
+        token = g.begin_scope()
+        with pytest.raises(DivergenceError):
+            runner(p, g, max_iters=5)
+        assert len(g._frames) == token + 1
+        assert count_nodes(g) == 5      # as the graph stood when the budget ran out
+        g.rollback_scope(token)
+        assert g.state() == before
+
 
 class TestValidation:
     def test_recursion_rejected(self):
@@ -245,9 +259,8 @@ def _outcome(runner, program, g, max_iters):
         result = str(e)
     g.check_registries()
     after = g.state()
-    # A diverging run leaves the scopes it was in open.
-    for t in range(g.begin_scope(), token - 1, -1):
-        g.rollback_scope(t)
+    assert len(g._frames) == token + 1    # only this scope is open
+    g.rollback_scope(token)
     assert g.state() == before
     return result, trace, _counters(stats), after
 

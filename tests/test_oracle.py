@@ -205,3 +205,17 @@ class TestGenWorkload:
                             continue
                         assert gen_workload(*args) == want, args
         assert cases == 7200
+
+    def test_faithful_safe_never_searches_an_empty_tree(self):
+        # Short scripts often delete every key before the final search,
+        # which must then not search the empty tree.  Only an exhausted
+        # key range may raise.
+        for key_lo, key_hi in ((0, 20), (0, 10_000)):
+            for size in range(1, 61):
+                for seed in range(200):
+                    try:
+                        ops = gen_workload(seed, size, "faithful-safe", key_lo, key_hi)
+                    except ValueError as e:
+                        assert "key space exhausted" in str(e)
+                        continue
+                    assert len(ops) == size

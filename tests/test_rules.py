@@ -210,6 +210,25 @@ class TestApply:
         # root moved from parent to child; instruction untouched
         assert set(g.roots()) == {c, 2}
 
+    def test_match_other_than_find_matchs_is_refused(self):
+        rule = parse_rule(
+            "r(a:int) [ (1(R), a #grey) | ] => [ (1(R), a #red) | ] interface = {1}")
+        g = parse_host("[ (n0(R), 1 #grey) (n1(R), 2 #grey) | ]")
+        stats = MatchStats()
+        first = find_match(rule, g, stats)
+        assert first == Match({1: 1}, {}, {"a": 2})    # most recently rooted
+        second = Match({1: 0}, {}, {"a": 1})
+        check_match_valid(rule, g, second)
+        state, counters = g.state(), _counters(stats)
+        for m in (second, None):
+            with pytest.raises(ValueError, match="not the first match"):
+                apply_match(rule, m, g, stats)
+            assert g.state() == state
+            assert _counters(stats) == counters
+        apply_match(rule, first, g, stats)
+        assert g.nodes[1].mark == "red" and g.nodes[0].mark == "grey"
+        assert stats.applications == 1 and stats.by_rule == {"r": 1}
+
 
 def test_find_match_leaves_no_cyclic_garbage():
     from rootedgp.bst import program, run_bst
@@ -414,12 +433,12 @@ class TestCompiledRules:
         rule = parse_rule(GO_RIGHT1)
         g, _, _ = traversal_host(parent_key=5, child_key=3)
         assert find_match(rule, g, MatchStats()) is None
-        assert rule.matcher is not None and rule.rewriter is not None
+        assert rule.matcher is not None
         assert not apply_rule(rule, g, MatchStats())
         assert rule.applier is not None
         rule.cond = CmpC("<", VarT("m"), VarT("n"))
         validate_rule(rule)
-        assert (rule.matcher, rule.rewriter, rule.applier) == (None, None, None)
+        assert (rule.matcher, rule.applier) == (None, None)
         assert find_match(rule, g, MatchStats()) is not None
         assert apply_rule(rule, g, MatchStats())
         assert rule.applier is not None
