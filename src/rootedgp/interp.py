@@ -16,8 +16,13 @@ tree, with compile() and exec(), into Python source, as GP 2's compiler
 emits C for control as well as for rules: one function per procedure,
 each command a run of statements that falls through on success and jumps
 on failure or break, each rule call a direct call of the rule's fused
-applier.  Each run passes in the appliers afresh, so a revalidated rule is
-applied by its new code; validate_program drops the compiled control.
+applier, and each loop over a rule or a rule set one call of its loop
+function (rules.fused_loop), which makes all of that loop's iterations.
+Each run passes in the appliers and the loop functions afresh, a loop
+function compiled again when a member's applier was, so a revalidated
+rule is applied by its new code; validate_program drops the compiled
+control.  Commands nest at most MAX_NESTING deep in a procedure body;
+validate_program rejects deeper nesting.
 
 Scopes are opened only where they change the outcome.  A loop body or a
 try condition that is a rule call, a rule set, fail or skip opens none:
@@ -29,18 +34,30 @@ even when it succeeds.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from .errors import DivergenceError, ValidationError
 from .hostgraph import HostGraph
-from .rules import _MAX_LOOPS, MatchStats, fused_applier, validate_rule
+from .rules import (
+    _MAX_LOOPS, BUDGET_EXHAUSTED, MatchStats, fused_applier, fused_loop,
+    validate_rule,
+)
 # Not called here (the compiled control calls the rules' fused appliers);
 # perfbench/tracing.py wraps these two names in this module's namespace.
 from .rules import apply_match, find_match  # noqa: F401
 
 DEFAULT_MAX_ITERS = 10_000_000
+
+# Commands nest at most this deep in one procedure body: each sequence,
+# loop, try and if is one level.  Compiling the control recurses through
+# at most four frames per level (a try or if condition that runs in a
+# helper function), so it raises the caller's recursion limit by
+# _FRAMES_PER_LEVEL frames per level while it runs.
+MAX_NESTING = 400
+_FRAMES_PER_LEVEL = 5
 
 
 class Status(Enum):
@@ -117,12 +134,42 @@ class Program:
     compiled: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
+def _nesting(cmd: Command) -> int:
+    """How many sequences, loops, tries and ifs enclose the deepest command
+    of `cmd`, itself included; procedure calls are not followed."""
+    deepest = 0
+    stack = [(cmd, 0)]
+    while stack:
+        cmd, depth = stack.pop()
+        kind = type(cmd)
+        if kind is Seq:
+            parts = cmd.parts
+        elif kind is Loop:
+            parts = (cmd.body,)
+        elif kind is Try or kind is If:
+            parts = (cmd.cond, cmd.then_part, cmd.else_part)
+        else:
+            continue
+        deepest = max(deepest, depth + 1)
+        stack.extend((part, depth + 1) for part in parts)
+    return deepest
+
+
 def validate_program(program: Program) -> list:
-    """Name resolution, recursion rejection, break placement, and rule
-    validation.  Returns accumulated warnings; raises ValidationError."""
+    """Name resolution, recursion rejection, break placement, nesting
+    depth, and rule validation.  Returns accumulated warnings; raises
+    ValidationError."""
     program.compiled = None
     errors = []
     warnings = []
+
+    for name, body in program.procs.items():
+        depth = _nesting(body)
+        if depth > MAX_NESTING:
+            errors.append(f"procedure {name!r} nests commands {depth} deep "
+                          f"(at most {MAX_NESTING})")
+    if errors:
+        raise ValidationError("; ".join(errors))
 
     for name, rule in program.rules.items():
         try:
@@ -204,14 +251,15 @@ def run(
         stats = MatchStats()
     if program.compiled is None:
         program.compiled = _compile(program)
-    names, control = program.compiled
+    names, control, loops = program.compiled
     rules = program.rules
     # Read at every run, so a rule revalidated since is applied by its
     # fresh code.
     appliers = [fused_applier(rules[name]) for name in names]
+    functions = [loop.current(rules) for loop in loops]
     depth = len(g._frames)
     try:
-        status = control(g, stats, on_apply, max_iters, *appliers)
+        status = control(g, stats, on_apply, max_iters, *appliers, *functions)
     except DivergenceError:
         while len(g._frames) > depth:
             g.commit_scope(len(g._frames) - 1)
@@ -227,12 +275,34 @@ def run(
 _MAX_DEPTH = 48
 
 
+class _LoopFunction:
+    """The compiled loop over one rule set (see rules.fused_loop).  It
+    inlines its members' code, so it is compiled afresh whenever one of
+    their fused appliers is."""
+
+    __slots__ = ("names", "appliers", "function")
+
+    def __init__(self, names: tuple):
+        self.names = names
+        self.appliers = None   # the members' appliers when compiled
+        self.function = None
+
+    def current(self, rules: dict):
+        """The function, compiled afresh if a member was revalidated."""
+        appliers = [fused_applier(rules[name]) for name in self.names]
+        if appliers != self.appliers:
+            self.function = fused_loop([rules[name] for name in self.names])
+            self.appliers = appliers
+        return self.function
+
+
 class _Codegen:
     """Source of one program's control.
 
-    The source is one function, `control(g, stats, tr, max_iters, a0, ...)`,
-    taking the rules' fused appliers in the order of `program.rules`.  It
-    defines one nested function per procedure and per helper, each
+    The source is one function, `control(g, stats, tr, max_iters, a0, ...,
+    L0, ...)`, taking the rules' fused appliers in the order of
+    `program.rules`, then the loop functions in the order of `self.bodies`.
+    It defines one nested function per procedure and per helper, each
     returning a Status, and returns what Main's returns.  A command is
     emitted as statements that fall through on success and run the lines
     of a `fail` or a `brk` handler otherwise; each handler ends in a jump
@@ -242,6 +312,7 @@ class _Codegen:
     def __init__(self, program: Program):
         self.rules = {name: i for i, name in enumerate(program.rules)}
         self.procs = {name: f"p{i}" for i, name in enumerate(program.procs)}
+        self.bodies = {}       # members of a looped rule set -> its function
         self.funcs = []        # finished nested functions, as lines
         self.helpers = 0
         # The function being emitted; see `function`.
@@ -250,6 +321,7 @@ class _Codegen:
         for name, body in program.procs.items():
             self.function(self.procs[name], body)
         params = "".join(f", a{i}" for i in range(len(self.rules)))
+        params += "".join(f", {f}" for f in self.bodies.values())
         lines = [f"def control(g, stats, tr, max_iters{params}):", "    it = 0"]
         for func in self.funcs:
             lines += ["    " + line for line in func]
@@ -287,6 +359,14 @@ class _Codegen:
         self.tokens += 1
         return f"t{self.tokens}"
 
+    def members(self, cmd: Command) -> Optional[tuple]:
+        """The rules of a rule call or a rule set; None for other commands."""
+        if type(cmd) is Call and cmd.name in self.rules:
+            return (cmd.name,)
+        if type(cmd) is RuleSet:
+            return cmd.names
+        return None
+
     def test(self, cmd: Command) -> Optional[str]:
         """For a command that changes nothing unless it succeeds (a rule
         call, a rule set, fail or skip), an expression that runs it and is
@@ -296,13 +376,10 @@ class _Codegen:
         scope: committing its success changes nothing, and its failure
         has nothing to roll back."""
         kind = type(cmd)
-        if kind is Call and cmd.name in self.rules:
-            names = (cmd.name,)
-        elif kind is RuleSet:
-            names = cmd.names
-        elif kind is Fail or kind is Skip:
-            return repr(kind is Skip)
-        else:
+        names = self.members(cmd)
+        if names is None:
+            if kind is Fail or kind is Skip:
+                return repr(kind is Skip)
             return None
         test = " or ".join(
             f"(a{self.rules[n]}(g, stats) and (tr is None or tr({n!r}) or True))"
@@ -332,6 +409,14 @@ class _Codegen:
             return
         if kind not in (Call, Loop, Try, If):
             raise TypeError(f"not a command: {cmd!r}")
+        if kind is Loop and self.members(cmd.body) is not None:
+            # A loop over a rule set runs in a function of its own.
+            names = self.members(cmd.body)
+            if names not in self.bodies:
+                self.bodies[names] = f"L{len(self.bodies)}"
+            self.iterates = True
+            self.emit(f"it = {self.bodies[names]}(g, stats, tr, it, max_iters)")
+            return
         if kind is Call or self.depth >= _MAX_DEPTH or (
                 kind is Loop and self.loops == _MAX_LOOPS):
             self.dispatch(self.call(cmd), fail, brk)
@@ -372,8 +457,7 @@ class _Codegen:
         self.iterates = True
         self.emit("it += 1")
         self.emit("if it > max_iters:")
-        self.emit("    raise DivergenceError("
-                  "f'loop iteration budget exhausted ({max_iters})')")
+        self.emit(f"    raise DivergenceError({BUDGET_EXHAUSTED!r}.format(max_iters))")
         if self.test(body) is not None:
             self.command(body, ["break"], ["break"])
         else:
@@ -419,9 +503,16 @@ class _Codegen:
 
 
 def _compile(program: Program) -> tuple:
-    """(rule names, control function) of the program's compiled control."""
-    gen = _Codegen(program)
+    """(rule names, control function, loop functions) of the program's
+    compiled control; the loop functions compile on first use."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + _FRAMES_PER_LEVEL * MAX_NESTING)
+    try:
+        gen = _Codegen(program)
+    finally:
+        sys.setrecursionlimit(limit)
     ns = {"S": Status.SUCCESS, "F": Status.FAILURE, "B": Status.BREAK,
           "DivergenceError": DivergenceError}
     exec(compile(gen.source, "<control>", "exec"), ns)
-    return tuple(program.rules), ns["control"]
+    loops = [_LoopFunction(names) for names in gen.bodies]
+    return tuple(program.rules), ns["control"], loops

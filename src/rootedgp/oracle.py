@@ -173,7 +173,7 @@ def gen_workload(seed: int, size: int, constraints: str = "sanitized-safe",
     span_bits = span.bit_length()
     present: list = []
     present_set: set = set()
-    retired: set = set()
+    used: set = set()          # every key inserted so far, deleted or not
     ops = []
 
     def any_key():
@@ -193,9 +193,11 @@ def gen_workload(seed: int, size: int, constraints: str = "sanitized-safe",
         return present[r]
 
     def fresh_key():
+        if len(used) == span:
+            raise ValueError("key space exhausted; widen the key range")
         for _ in range(10_000):
             k = any_key()
-            if k not in present_set and k not in retired:
+            if k not in used:
                 return k
         raise ValueError("key space exhausted; widen the key range")
 
@@ -203,13 +205,13 @@ def gen_workload(seed: int, size: int, constraints: str = "sanitized-safe",
         if k not in present_set:
             present_set.add(k)
             present.append(k)
+            used.add(k)
         ops.append(Op("i", k))
 
     def do_delete():
         k = present_key()
         present.remove(k)
         present_set.discard(k)
-        retired.add(k)
         ops.append(Op("d", k))
 
     if constraints == "unrestricted":

@@ -31,6 +31,16 @@ apply_match is a checked wrapper over the fused application for a caller
 that inspected the match first.  Each function is compiled on its first
 use, and validate_rule drops both, so an edited rule is compiled afresh.
 
+A loop over a rule or a rule set (`r!`, `{r1, ..., rk}!`) is compiled
+into one more function, its loop function (fused_loop): one `while` that
+runs the members' loop nests in turn, leaves a nest at its first match
+with `break` (for/else) and rewrites from the nest's locals.  The host's
+stores, root registries and journal are read once per loop, not once per
+attempt, and the registries again after a rewrite that refiles them; the
+counters accumulate in locals and are settled in a `finally`.  So an
+iteration of the BST descent costs no call, no prologue and no counter
+flush.
+
 A match must be injective on nodes and edges, preserve rootedness in both
 directions, satisfy mark compatibility (the `any` wildcard accepts the
 four concrete marks but not unmarked), unify all labels under one
@@ -40,10 +50,11 @@ beyond those matched by the rule.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ValidationError
+from .errors import DivergenceError, ValidationError
 from .hostgraph import EDGE_MARKS, NODE_MARKS, EdgeRec, HostGraph, NodeRec
 from .labels import (
     AndC, ArithT, CmpC, DegT, IntT, LabelPattern, NotC, OrC, VarT, cond_refs,
@@ -304,6 +315,24 @@ def validate_rule(rule: Rule) -> list:
 # at most this many loops in one function and continues in a helper.
 _MAX_LOOPS = 16
 
+# Python allows 100 levels of indentation; a loop function inlines a
+# member only while its search nest stays below this depth.
+_MAX_INDENT = 90
+
+BUDGET_EXHAUSTED = "loop iteration budget exhausted ({})"
+
+# The journal of a loop function that runs with only the base frame open,
+# whose entries would be discarded: appending to it keeps nothing.
+_DISCARD = deque(maxlen=0)
+
+_STORES = ("nodes = g.nodes", "edges = g.edges",
+           "out_adj = g.out_adj", "in_adj = g.in_adj")
+
+# After one attempt of an inlined member: add its counts to the loop's
+# totals and keep the largest per attempt.
+_SETTLE_ATTEMPT = ("NA += na", "NX += nx",
+                   "if na > MA: MA = na", "if nx > MX: MX = nx")
+
 _PY_CMP = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 _KIND_FAILS = {          # test on local {0} that rejects an atom of the kind
@@ -312,6 +341,13 @@ _KIND_FAILS = {          # test on local {0} that rejects an atom of the kind
     "string": "type({0}) is not str",
     "atom": None,
 }
+
+
+def _refiles_roots(rule: Rule) -> bool:
+    """Does the rewrite remark a root, which refiles the root registries?"""
+    lhs, rhs = rule.lhs.nodes, rule.rhs.nodes
+    return any(lhs[p].rooted and rhs[p].mark not in ("any", lhs[p].mark)
+               for p in rule.interface)
 
 
 def _may_share(a: PatternNode, b: PatternNode) -> bool:
@@ -326,7 +362,8 @@ def _may_share(a: PatternNode, b: PatternNode) -> bool:
 
 
 class _Codegen:
-    """Source of one rule's matcher or of its fused application.
+    """Source of one rule's matcher or fused application, or of one loop
+    function over a rule set.
 
     Rule data enters the source only as integers and as the repr() of exact
     int, str and bool constants (atoms, marks, the rule name).  Variable
@@ -334,17 +371,29 @@ class _Codegen:
     names; variables, host nodes and host edges live in indexed locals.
     """
 
-    def __init__(self, rule: Rule):
-        self.rule = rule
+    def __init__(self):
         self.ns = {"Match": Match, "NodeRec": NodeRec, "EdgeRec": EdgeRec}
         self.funcs = []        # finished function sources
         self.lines = []
         self.depth = 1         # indentation of the next line
+        self.nsources = 0      # candidate sources read so far
+        self.registries = {}   # root registry source -> local, in a loop
+
+    def use(self, rule: Rule) -> None:
+        """Start emitting `rule`'s search."""
+        self.rule = rule
         # lhs nodes outside the interface, which the rewrite deletes
         self.deleted = sorted(set(rule.lhs.nodes) - rule.interface)
+        self.vars = {}         # variable name -> (local, kind of its binding slot)
+        self.nodes = {}        # pid -> (local, pattern node)
+        self.edges = []        # (lhs edge index, local, pattern edge)
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
+
+    def emit_lines(self, lines: list) -> None:
+        for line in lines:
+            self.emit(line)
 
     def lit(self, value) -> str:
         if type(value) in (int, str, bool):
@@ -356,32 +405,62 @@ class _Codegen:
         self.ns[name] = value
         return name
 
+    def compiled(self, name: str, filename: str):
+        """Compile the finished functions and return the one called `name`."""
+        source = "\n\n".join(self.funcs) + "\n"
+        exec(compile(source, filename, "exec"), self.ns)
+        return self.ns[name]
+
     # -- search ---------------------------------------------------------------
 
-    def search(self, name: str) -> None:
+    def search(self, rule: Rule, name: str) -> None:
         """The plan's loop nest as function `name`: "match" returns a Match
         or None, "apply" rewrites the graph at the first match and returns
         whether there was one."""
-        plan = self.rule.plan
+        self.use(rule)
         self.name = name
         self.miss = "None" if name == "match" else "False"
         self.stack = []        # per open function: (caller's lines, is_top)
-        self.vars = {}         # variable name -> (local, kind of its binding slot)
-        self.nodes = {}        # pid -> (local, pattern node)
-        self.edges = []        # (lhs edge index, local, pattern edge)
         self.sources = {}      # anchor source -> local holding its candidates
         self.open_function(name, "g, stats", top=True)
-        self.emit("nodes = g.nodes")
-        self.emit("edges = g.edges")
-        self.emit("out_adj = g.out_adj")
-        self.emit("in_adj = g.in_adj")
-        for s in plan:
-            if s[0] != "anchor":
-                continue
-            source = self.anchor_source(s[1], s[2])
+        self.emit_lines(_STORES)
+        self.read_sources(self.anchor_sources())
+        if rule.plan:
+            self.emit("na = 0")
+            self.emit("nx = 0")
+        for i, s in enumerate(rule.plan):
+            if self.loops == _MAX_LOOPS:
+                self.continue_in_helper()
+            self.step(i, s)
+        self.finish()
+        while self.stack:
+            self.close_function()
+
+    def step(self, i: int, s: tuple) -> None:
+        if s[0] == "anchor":
+            self.anchor(i, s[1], s[2])
+        elif s[0] == "extend":
+            self.extend(*s[1:])
+        else:
+            self.close(s[1])
+
+    def anchor_sources(self) -> list:
+        """The anchor sources of the rule's plan, in plan order."""
+        sources = []
+        for s in self.rule.plan:
+            if s[0] == "anchor":
+                source = self.anchor_source(s[1], s[2])
+                if source not in sources:
+                    sources.append(source)
+        return sources
+
+    def read_sources(self, sources: list) -> None:
+        """Read each source not read yet into a local of its own."""
+        for source in sources:
             if source in self.sources:
                 continue
-            local = self.sources[source] = f"c{len(self.sources)}"
+            local = self.sources[source] = f"c{self.nsources}"
+            self.nsources += 1
             if source == ("roots",):
                 call = "g.roots_by_recency()"
             elif source[0] == "roots":
@@ -391,21 +470,142 @@ class _Codegen:
             else:
                 call = "g.node_ids()"
             self.emit(f"{local} = {call}")
-        if plan:
-            self.emit("na = 0")
-            self.emit("nx = 0")
-        for i, s in enumerate(plan):
-            if self.loops == _MAX_LOOPS:
-                self.continue_in_helper()
-            if s[0] == "anchor":
-                self.anchor(i, s[1], s[2])
-            elif s[0] == "extend":
-                self.extend(*s[1:])
+
+    # -- loop function --------------------------------------------------------
+
+    def loop_function(self, members: list) -> None:
+        """The loop `{members}!` as one function, `loop(g, stats, tr, it,
+        max_iters) -> it`: each iteration counts against the budget, then
+        runs the members' search nests in turn until one matches, and
+        applies that member, or ends the loop if none matches.
+
+        The stores, the root registries and the journal are read once per
+        loop, and the registries again after a rewrite that refiles them.
+        Counters accumulate in locals and are settled when the function
+        is left, however it is left.  A member whose plan is empty, needs
+        a helper function or would nest too deep is called through its
+        fused applier instead."""
+        self.name = "loop"
+        self.ns.update(DISCARD=_DISCARD, DivergenceError=DivergenceError)
+        self.lines = ["def loop(g, stats, tr, it, max_iters):"]
+        self.depth = 1
+        inline = []
+        depth = 3              # of the first member's code, in the while
+        for rule in members:
+            n = len(rule.plan)
+            inline.append(0 < n <= _MAX_LOOPS and depth + n < _MAX_INDENT)
+            depth += inline[-1]    # the next member goes in an else clause
+        inlined = [rule for rule, i in zip(members, inline) if i]
+        counts = {}            # rule name -> local counting its applications
+        self.sources = {}
+        if inlined:
+            self.emit_lines(_STORES)
+            for rule in inlined:
+                self.use(rule)
+                self.read_sources([s for s in self.anchor_sources()
+                                   if s[0] == "roots" and s != ("roots",)])
+                counts.setdefault(rule.name, f"k{len(counts)}")
+            self.registries = dict(self.sources)
+            self.emit("fr = g._frames")
+            self.emit("j = fr[-1][0] if len(fr) > 1 else DISCARD")
+            self.emit("NA = NX = MA = MX = 0")
+            self.emit(" = ".join(counts.values()) + " = 0")
+        self.emit("try:")
+        self.depth += 1
+        self.emit("while True:")
+        self.depth += 1
+        self.emit("it += 1")
+        self.emit("if it > max_iters:")
+        self.emit(f"    raise DivergenceError({self.lit(BUDGET_EXHAUSTED)}.format(max_iters))")
+        hits = []              # per inlined member: (depth, lines on a match)
+        for rule, i in zip(members, inline):
+            if i:
+                depth = self.depth
+                hits.append((depth, self.inline_member(rule, counts[rule.name])))
             else:
-                self.close(s[1])
+                self.called_member(rule)
+        self.emit("break")
+        for depth, lines in reversed(hits):
+            self.depth = depth
+            self.emit_lines(lines)
+        self.depth = 1
+        self.emit("finally:")
+        self.depth += 1
+        self.emit_lines(self.settle(counts) if inlined else ["pass"])
+        self.depth = 1
+        self.emit("return it")
+        self.funcs.append("\n".join(self.lines))
+
+    def settle(self, counts: dict) -> list:
+        """Lines adding a loop function's counters to `stats`."""
+        lines = ["stats.anchors_tried += NA",
+                 "stats.extension_steps += NX",
+                 "if MA > stats.max_anchors_per_call:",
+                 "    stats.max_anchors_per_call = MA",
+                 "if MX > stats.max_extensions_per_call:",
+                 "    stats.max_extensions_per_call = MX",
+                 f"n = {' + '.join(counts.values())}",
+                 "if n:",
+                 "    stats.matches_found += n",
+                 "    stats.applications += n",
+                 "    by_rule = stats.by_rule"]
+        for name, k in counts.items():
+            name = self.lit(name)
+            lines += [f"    if {k}:",
+                      f"        by_rule[{name}] = by_rule.get({name}, 0) + {k}"]
+        return lines
+
+    def inline_member(self, rule: Rule, count: str) -> list:
+        """Emit one attempt of `rule`: its search nest, which breaks out at
+        the first match, then an else clause that holds the attempts of the
+        later members; return the lines that apply the match, which go
+        after that clause."""
+        self.use(rule)
+        self.emit("na = 0")
+        self.emit("nx = 0")
+        self.read_sources(self.anchor_sources())
+        top = self.depth
+        self.loops = 0
+        for i, s in enumerate(rule.plan):
+            self.step(i, s)
         self.finish()
-        while self.stack:
-            self.close_function()
+        # Propagate the break of the innermost loop out of the nest.
+        while self.depth > top + 1:
+            self.depth -= 1
+            self.emit("else:")
+            self.emit("    continue")
+            self.emit("break")
+        self.depth = top
+        self.emit("else:")
+        self.depth += 1
+        self.emit_lines(_SETTLE_ATTEMPT)
+        lines = self.lines
+        self.lines = []
+        self.depth = 0
+        self.emit_lines(_SETTLE_ATTEMPT)
+        self.emit_lines(self.body())
+        self.emit(f"{count} += 1")
+        self.applied(rule)
+        hit = self.lines
+        self.lines = lines
+        self.depth = top + 1
+        return hit
+
+    def called_member(self, rule: Rule) -> None:
+        """Emit one attempt of `rule` through its fused applier."""
+        self.emit(f"if {self.ref(fused_applier(rule))}(g, stats):")
+        self.depth += 1
+        self.applied(rule)
+        self.depth -= 1
+
+    def applied(self, rule: Rule) -> None:
+        """After `rule` applied: refresh the registries if the rewrite can
+        have refiled them, report the application, and iterate."""
+        if _refiles_roots(rule):
+            for source, local in self.registries.items():
+                self.emit(f"{local} = g._roots[{self.lit(source[1])}]")
+        self.emit(f"if tr is not None: tr({self.lit(rule.name)})")
+        self.emit("continue")
 
     def open_function(self, name: str, params: str, top: bool) -> None:
         self.stack.append((self.lines, top))
@@ -605,10 +805,20 @@ class _Codegen:
             n_out = sum(1 for pe in rule.lhs.edges if pe.src == pid)
             self.emit(f"if len(in_adj[{local}]) != {n_in} or "
                       f"len(out_adj[{local}]) != {n_out}: {self.fail}")
+        if self.name == "loop":
+            self.emit("break")
+            return
         self.emit("stats.matches_found += 1")
         if self.name == "apply":
-            for line in self.body():
-                self.emit(line)
+            body = self.body()
+            if self.journaled:
+                # Only the base frame open: its entries would be discarded.
+                body[:0] = ["fr = g._frames", "j = fr[-1][0] if len(fr) > 1 else []"]
+            self.emit_lines(body)
+            self.emit("stats.applications += 1")
+            self.emit("by_rule = stats.by_rule")
+            name = self.lit(rule.name)
+            self.emit(f"by_rule[{name}] = by_rule.get({name}, 0) + 1")
             self.return_("True")
             return
         nmap = ", ".join(f"{self.lit(pid)}: {local}"
@@ -661,9 +871,9 @@ class _Codegen:
         deletes the matched edges, then the lhs nodes outside the interface,
         relabels, remarks and reroots the interface nodes, then creates the
         other rhs nodes and every rhs edge.  It updates the stores directly
-        and journals exactly what the HostGraph mutators would.  Roots and
-        marks the lhs fixes are not tested again; a remarked root goes
-        through set_mark, which refiles the root registries.
+        and journals into `j` exactly what the HostGraph mutators would.
+        Roots and marks the lhs fixes are not tested again; a remarked root
+        goes through set_mark, which refiles the root registries.
         """
         rule = self.rule
         lhs, rhs = rule.lhs, rule.rhs
@@ -671,6 +881,7 @@ class _Codegen:
         self.lines = []
         self.depth = 0
         self.journaled = False
+        self.refiled = False
         for _, e, pe in self.edges:
             src, tgt = self.nodes[pe.src][0], self.nodes[pe.tgt][0]
             self.emit(f"r = edges.pop({e})")
@@ -686,7 +897,7 @@ class _Codegen:
             self.emit(f"del out_adj[{h}]")
             self.emit(f"del in_adj[{h}]")
             if pn.rooted:
-                self.emit(f"del g._roots[{mark}][{h}]")
+                self.emit(f"del {self.registry(pn.mark)}[{h}]")
             if pn.mark != "none":
                 self.emit(f"g._by_mark[{mark}].discard({h})")
         imgs = {}
@@ -706,7 +917,7 @@ class _Codegen:
             self.emit(f"out_adj[{h}] = []")
             self.emit(f"in_adj[{h}] = []")
             if rn.rooted:
-                self.emit(f"g._roots[{mark}][{h}] = None")
+                self.emit(f"{self.registry(rn.mark)}[{h}] = None")
             if rn.mark != "none":
                 self.emit(f"g._by_mark[{mark}].add({h})")
             self.record(f"'+n', {h}")
@@ -720,14 +931,7 @@ class _Codegen:
             self.emit(f"out_adj[{src}].append(x)")
             self.emit(f"in_adj[{tgt}].append(x)")
             self.record("'+e', x")
-        self.emit("stats.applications += 1")
-        self.emit("by_rule = stats.by_rule")
-        name = self.lit(rule.name)
-        self.emit(f"by_rule[{name}] = by_rule.get({name}, 0) + 1")
         body = self.lines
-        if self.journaled:
-            # Only the base frame open: its entries would be discarded.
-            body[:0] = ["fr = g._frames", "j = fr[-1][0] if len(fr) > 1 else []"]
         self.lines, self.depth = outer
         return body
 
@@ -754,6 +958,7 @@ class _Codegen:
                 self.depth += 1
             if ln.rooted:
                 self.emit(f"g.set_mark({h}, {new})")
+                self.refiled = True
             else:
                 old = self.known_mark(ln.mark)
                 self.record(f"'mk', {h}, {old}")
@@ -766,7 +971,7 @@ class _Codegen:
                 self.depth -= 1
             mark = rn.mark
         if reroot:
-            registry = f"g._roots[{self.known_mark(mark)}]"
+            registry = self.registry(mark)
             if rn.rooted:
                 self.record(f"'rt', {h}, False, r.root_seq")
                 self.next_root_seq()
@@ -778,6 +983,14 @@ class _Codegen:
                 self.emit("r.rooted = False")
                 self.emit("r.root_seq = 0")
                 self.emit(f"del {registry}[{h}]")
+
+    def registry(self, mark: str) -> str:
+        """The root registry of the lhs or rhs mark `mark` of record `r`:
+        a loop function's local for it until the rewrite refiles."""
+        local = self.registries.get(("roots", mark))
+        if local is not None and not self.refiled:
+            return local
+        return f"g._roots[{self.known_mark(mark)}]"
 
     def known_mark(self, mark: str) -> str:
         """The mark of record `r`: a literal unless the lhs left it open."""
@@ -807,11 +1020,9 @@ class _Codegen:
 
 def _compile(rule: Rule, name: str):
     """Compile the rule's "match" or "apply" function and return it."""
-    gen = _Codegen(rule)
-    gen.search(name)
-    source = "\n\n".join(gen.funcs) + "\n"
-    exec(compile(source, f"<rule {rule.name!r}>", "exec"), gen.ns)
-    return gen.ns[name]
+    gen = _Codegen()
+    gen.search(rule, name)
+    return gen.compiled(name, f"<rule {rule.name!r}>")
 
 
 def find_match(rule: Rule, g: HostGraph, stats: MatchStats) -> Optional[Match]:
@@ -846,3 +1057,19 @@ def apply_rule(rule: Rule, g: HostGraph, stats: MatchStats) -> bool:
     """Apply `rule` at its first match, as find_match and apply_match
     would in turn; False, with `g` unchanged, if it has no match."""
     return fused_applier(rule)(g, stats)
+
+
+def fused_loop(members: list):
+    """The loop over the rule set `members` (one rule for a looped rule
+    call) as one compiled function, `loop(g, stats, tr, it, max_iters) ->
+    it`.  It counts and applies as many iterations as a loop calling the
+    members' fused appliers in turn would, in the same order, calling
+    `tr(name)` after each application when `tr` is not None, and leaves
+    every counter of `stats` as those calls would, also when the budget
+    `max_iters` of total iterations runs out (DivergenceError).  `it` is
+    the number of iterations counted so far and is returned updated.
+    `tr` may not open or close scopes, and sees the loop's counters
+    settled only when it ends."""
+    gen = _Codegen()
+    gen.loop_function(members)
+    return gen.compiled("loop", f"<loop {', '.join(r.name for r in members)}>")

@@ -1,8 +1,10 @@
 """Test support: the workload generator as it was before its random draws
 were inlined, drawing through random.Random.randint and randrange, with
-one amendment made to both: a faithful-safe search due last on an emptied
-tree becomes a fresh insert.  oracle.gen_workload must give the same
-script for every input, or raise the same kind of error."""
+two amendments made to both: a faithful-safe search due last on an
+emptied tree becomes a fresh insert, and asking for a fresh key raises at
+once, drawing nothing, when every key of the range has been inserted.
+oracle.gen_workload must give the same script for every input, or raise
+the same kind of error."""
 from __future__ import annotations
 
 import random
@@ -29,15 +31,18 @@ def reference_gen_workload(seed: int, size: int, constraints: str = "sanitized-s
     if size < 1:
         raise ValueError("workload size must be at least 1")
     rng = random.Random(seed)
+    span = key_hi - key_lo + 1
     present: list = []
     present_set: set = set()
-    retired: set = set()
+    used: set = set()          # every key inserted so far, deleted or not
     ops = []
 
     def fresh_key():
+        if len(used) == span:
+            raise ValueError("key space exhausted; widen the key range")
         for _ in range(10_000):
             k = rng.randint(key_lo, key_hi)
-            if k not in present_set and k not in retired:
+            if k not in used:
                 return k
         raise ValueError("key space exhausted; widen the key range")
 
@@ -45,13 +50,13 @@ def reference_gen_workload(seed: int, size: int, constraints: str = "sanitized-s
         if k not in present_set:
             present_set.add(k)
             present.append(k)
+            used.add(k)
         ops.append(Op("i", k))
 
     def do_delete():
         k = present[rng.randrange(len(present))]
         present.remove(k)
         present_set.discard(k)
-        retired.add(k)
         ops.append(Op("d", k))
 
     if constraints == "unrestricted":

@@ -169,6 +169,10 @@ class TestMeasure:
                               if rule.applier is None)
             if program.compiled is None:
                 uncompiled.append("control")
+            else:
+                loops = program.compiled[2]
+                assert loops    # the descent, unroot! and go_right2!
+                uncompiled.extend(loop.names for loop in loops if loop.function is None)
             return run_measured(base, ops, variant)
 
         monkeypatch.setattr(bench, "run_measured", checked_run_measured)

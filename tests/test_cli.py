@@ -4,6 +4,7 @@ import pytest
 
 from rootedgp import bst
 from rootedgp.cli import main
+from rootedgp.interp import MAX_NESTING
 from rootedgp.text import parse_program
 
 GOLDEN_RUN = (
@@ -205,6 +206,15 @@ class TestValidate:
         bad = tmp_path / "bad.gp2"
         bad.write_text("Main = nope")
         assert main(["validate", str(bad)]) == 3
+
+    def test_too_deep_nesting_exits_3_on_one_line(self, tmp_path, capsys):
+        deep = tmp_path / "deep.gp2"
+        deep.write_text("Main = " + "try " * (MAX_NESTING + 1) + "r\n"
+                        "r() [ | ] => [ | ] interface = {}\n")
+        assert main(["validate", str(deep)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"validation error: procedure 'Main' nests commands "
+                       f"{MAX_NESTING + 1} deep (at most {MAX_NESTING})\n")
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 
 import pytest
 
@@ -8,10 +9,10 @@ from rootedgp.bench import build_degenerate_graph, measured_ops, run_measured
 from rootedgp.errors import DivergenceError, ValidationError
 from rootedgp.hostgraph import HostGraph
 from rootedgp.interp import (
-    BREAK, DEFAULT_MAX_ITERS, FAIL, SKIP, Call, If, Loop, Program, RuleSet, Seq,
-    Status, Try, _Codegen, run, validate_program,
+    BREAK, DEFAULT_MAX_ITERS, FAIL, MAX_NESTING, SKIP, Call, If, Loop, Program,
+    RuleSet, Seq, Status, Try, _Codegen, run, validate_program,
 )
-from rootedgp.rules import MatchStats, validate_rule
+from rootedgp.rules import MatchStats, _refiles_roots, validate_rule
 from rootedgp.text import parse_program, parse_rule
 
 
@@ -19,8 +20,10 @@ def prog_of(**procs):
     rules = {}
     add = parse_rule("add() [ | ] => [ (1, 1) | ] interface = {}")
     never = parse_rule("never(a:int) [ (1(R), 99:a) | ] => [ (1(R), 99:a) | ] interface = {1}")
+    bump = parse_rule("bump() [ (1, 1) | ] => [ (1, 5) | ] interface = {1}")
     rules["add"] = add
     rules["never"] = never
+    rules["bump"] = bump
     p = Program(rules, procs)
     p.warnings = validate_program(p)
     return p
@@ -200,18 +203,26 @@ class TestCompiledControl:
         assert p.compiled is None
 
     def test_revalidated_rule_is_applied_by_fresh_code(self):
-        p = prog_of(Main=Call("add"))
+        # A called rule and a member of a looped rule set both change.
+        p = prog_of(Main=Seq((Call("add"), Loop(RuleSet(("never", "bump"))))))
         g = HostGraph()
         run(p, g)
         control = p.compiled
+        loop = control[2][0].function
+        assert sorted(rec.label for rec in g.nodes.values()) == [(5,)]
         rule = p.rules["add"]
         rule.rhs.nodes[1].label = parse_rule(
             "add() [ | ] => [ (1, 2) | ] interface = {}").rhs.nodes[1].label
         validate_rule(rule)
         assert rule.applier is None
+        bump = p.rules["bump"]
+        fresh = parse_rule("bump() [ (1, 2) | ] => [ (1, 6) | ] interface = {1}")
+        bump.lhs, bump.rhs = fresh.lhs, fresh.rhs
+        validate_rule(bump)
         run(p, g)
         assert p.compiled is control
-        assert sorted(rec.label for rec in g.nodes.values()) == [(1,), (2,)]
+        assert control[2][0].function is not loop
+        assert sorted(rec.label for rec in g.nodes.values()) == [(5,), (6,)]
 
     @pytest.mark.parametrize("op, scopes", [("insert", 2), ("search", 1), ("delete", 3)])
     def test_chain_op_opens_as_many_scopes_at_any_length(self, monkeypatch, op, scopes):
@@ -231,6 +242,32 @@ class TestCompiledControl:
                                             measured_ops("degenerate", n, op))
             assert status is Status.SUCCESS and stats.applications > n
             assert len(opened) == scopes, n
+
+    @pytest.mark.parametrize("op", ["insert", "search", "delete"])
+    def test_chain_op_makes_as_many_compiled_calls_at_any_length(self, op):
+        # Each loop over rules runs as one call, however many iterations
+        # it makes; the descent alone iterates n times.
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(
+                    ("<rule ", "<loop ", "<control>")):
+                calls.append(frame.f_code.co_filename)
+
+        counts = []
+        for n in (100, 1000):
+            base = build_degenerate_graph(n)
+            ops = measured_ops("degenerate", n, op)
+            run_measured(base, ops)       # compiles everything first
+            del calls[:]
+            sys.setprofile(profile)
+            try:
+                status, stats, _ = run_measured(base, ops)
+            finally:
+                sys.setprofile(None)
+            assert status is Status.SUCCESS and stats.applications > n
+            counts.append(len(calls))
+        assert counts[0] == counts[1] and counts[0] > 0
 
 
 def _counters(stats: MatchStats) -> tuple:
@@ -329,8 +366,20 @@ class _ProgramGen:
         return p
 
 
+def _looped_sets(cmd):
+    """The rule sets of two or more members that `cmd` loops over."""
+    kind = type(cmd)
+    if kind is Loop and type(cmd.body) is RuleSet and len(cmd.body.names) > 1:
+        yield cmd.body
+    for sub in (cmd.parts if kind is Seq else (cmd.body,) if kind is Loop
+                else (cmd.cond, cmd.then_part, cmd.else_part) if kind in (Try, If)
+                else ()):
+        yield from _looped_sets(sub)
+
+
 def test_compiled_control_matches_reference_on_random_programs():
     statuses = set()
+    looped = refiling = 0
     for seed in range(2000):
         rng = random.Random(seed)
         rules = {}
@@ -344,7 +393,135 @@ def test_compiled_control_matches_reference_on_random_programs():
         program = _ProgramGen(rng, list(rules)).program(rules)
         result = _agree(program, host, max_iters=rng.randint(1, 50))[0]
         statuses.add(result if isinstance(result, Status) else "diverged")
+        for body in program.procs.values():
+            for members in _looped_sets(body):
+                looped += 1
+                refiling += any(_refiles_roots(rules[n]) for n in members.names)
     assert statuses == {Status.SUCCESS, Status.FAILURE, "diverged"}
+    # Loop functions over several members, some of which remark a root.
+    assert looped >= 100 and refiling >= 20
+
+
+# A loop over three members: `never` does not match; `paint` remarks the
+# grey root red, which refiles the root registries in mid-loop; `move`
+# passes a red root on to the next grey node of a chain.
+_WALK_RULES = """
+never(a:int)
+[ (1(R), 99:a #blue) | ]
+=>
+[ (1(R), 99:a #blue) | ]
+interface = {1}
+
+paint(x:int)
+[ (1(R), x #grey) | ]
+=>
+[ (1(R), x #red) | ]
+interface = {1}
+
+move(a,b:int)
+[ (1(R), a #red) (2, b #grey) | (e1, 1, 2, empty) ]
+=>
+[ (1, a #red) (2(R), b #grey) | (e1, 1, 2, empty) ]
+interface = {1, 2}
+where b > a
+"""
+
+
+def _walk_program() -> Program:
+    return parse_program("Main = {never, move, paint}!; {never, move, paint}!" + _WALK_RULES)
+
+
+def _chain(n: int) -> HostGraph:
+    """A grey chain 0 -> 1 -> ... -> n-1 rooted at its head, and a stale
+    red root that `move` cannot pass on."""
+    g = HostGraph()
+    stale = g.add_node((-1,), "red", rooted=True)
+    ids = [g.add_node((k,), "grey", rooted=k == 0) for k in range(n)]
+    for a, b in zip(ids, ids[1:]):
+        g.add_edge(a, b)
+    g.add_edge(stale, ids[0])
+    return g
+
+
+class TestLoopFunctions:
+    def test_rule_set_member_refiles_registries_mid_loop(self):
+        p = _walk_program()
+        assert _refiles_roots(p.rules["paint"])
+        result, trace, counters, after = _agree(p, _chain(6))
+        assert result is Status.SUCCESS
+        assert trace == ["paint", "move"] * 5 + ["paint"]
+        assert counters[4] == {"paint": 6, "move": 5}
+        nodes = after[0]
+        assert [nodes[i][1:3] for i in range(1, 7)] == [("red", False)] * 5 + [("red", True)]
+
+    @pytest.mark.parametrize("max_iters", range(1, 15))
+    def test_budget_runs_out_inside_a_loop_function(self, max_iters):
+        # Ends the loop after 11 applications and one failing iteration,
+        # so every budget below 13 runs out inside it.
+        result = _agree(_walk_program(), _chain(6), max_iters)[0]
+        if max_iters < 13:
+            assert result == f"loop iteration budget exhausted ({max_iters})"
+        else:
+            assert result is Status.SUCCESS
+
+    def test_loop_function_counts_as_calls_would(self):
+        # Every attempt's counts, the maxima per attempt included, are
+        # those of calling the members' fused appliers in turn.
+        g = _chain(6)
+        for i in range(6, 9):
+            g.add_node((i,), "grey", rooted=True)
+        for max_iters in (4, DEFAULT_MAX_ITERS):
+            counters = _agree(_walk_program(), g, max_iters)[2]
+            assert counters[5] >= 2 and counters[6] >= 1
+
+    def test_members_called_through_their_appliers(self):
+        # `long` needs a helper function (18 plan steps) and the members
+        # after the 90th would nest too deep, so the loop function calls
+        # them through their fused appliers, between inlined ones.
+        nodes = " ".join(f"({i}{'(R)' if i == 1 else ''}, a{i} #grey)"
+                         for i in range(1, 19))
+        edges = " ".join(f"(e{i}, {i}, {i + 1}, empty)" for i in range(1, 18))
+        rhs = nodes.replace("(1(R),", "(1,").replace("(2,", "(2(R),")
+        params = ",".join(f"a{i}" for i in range(1, 19))
+        long = (f"long({params}:int)\n[ {nodes} | {edges} ]\n=>\n[ {rhs} | {edges} ]\n"
+                f"interface = {{{', '.join(map(str, range(1, 19)))}}}\n")
+        nevers = "".join(_WALK_RULES.split("\n\n")[0].replace("never(", f"never{i}(") + "\n\n"
+                         for i in range(95))
+        names = ", ".join(f"never{i}" for i in range(95))
+        p = parse_program(f"Main = {{never0, long, move}}!; {{{names}, paint, move}}!\n"
+                          + long + nevers + _WALK_RULES)
+        g = _chain(30)
+        result, trace, counters, _ = _agree(p, g)
+        assert result is Status.SUCCESS
+        assert trace[:14] == ["long"] * 13 + ["move"]
+        assert set(trace[14:]) == {"paint", "move"}
+        for max_iters in (5, 13, 20, 40):
+            assert isinstance(_agree(p, g, max_iters)[0], str)
+
+
+class TestNestingLimit:
+    @staticmethod
+    def shapes(depth: int) -> dict:
+        """Commands `depth` levels deep: tries nested in conditions, in
+        then parts, and loops of sequences."""
+        cond = then = Call("consume")
+        for _ in range(depth):
+            cond = Try(cond, SKIP, Call("add"))
+            then = If(Call("consume"), then, SKIP)
+        loop = Call("consume") if depth % 2 == 0 else Seq((Call("consume"), SKIP))
+        for _ in range(depth // 2):
+            loop = Loop(Seq((loop, BREAK)))
+        return {"cond": cond, "then": then, "loop": loop}
+
+    def test_limit_compiles_and_runs(self):
+        for name, cmd in self.shapes(MAX_NESTING).items():
+            p = _consume_program({"Main": cmd})
+            assert _agree(p, _host(3))[0] is Status.SUCCESS, name
+
+    def test_deeper_nesting_is_rejected(self):
+        for cmd in self.shapes(MAX_NESTING + 1).values():
+            with pytest.raises(ValidationError, match=f"nests commands {MAX_NESTING + 1} deep"):
+                _consume_program({"Main": SKIP, "P": cmd})
 
 
 def _consume_program(procs) -> Program:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracleref import reference_gen_workload
+from rootedgp import oracle
 from rootedgp.oracle import CONSTRAINTS, OracleTree, gen_workload, o_apply
 from rootedgp.text import Op
 
@@ -205,6 +206,24 @@ class TestGenWorkload:
                             continue
                         assert gen_workload(*args) == want, args
         assert cases == 7200
+
+    def test_exhausted_key_range_raises_without_drawing(self, monkeypatch):
+        # Every key of 0..20 is inserted within the first 21 fresh keys;
+        # asking for one more draws nothing.
+        draws = []
+        real = oracle.random.Random
+
+        class Counting(real):
+            def getrandbits(self, k):
+                draws.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(oracle.random, "Random", Counting)
+        for seed in range(20):
+            del draws[:]
+            with pytest.raises(ValueError, match="key space exhausted"):
+                gen_workload(seed, 60, "faithful-safe", 0, 20)
+            assert len(draws) < 1000, seed
 
     def test_faithful_safe_never_searches_an_empty_tree(self):
         # Short scripts often delete every key before the final search,
