@@ -186,47 +186,47 @@ def validate_program(program: Program) -> list:
 
     # Contexts: "loop" (break legal), "top" (break escapes Main), and
     # "cond" (break would escape a try/if condition).  A loop inside a
-    # condition re-legalises break within itself.
-    checked = set()
-
-    def check(cmd, ctx, stack):
+    # condition re-legalises break within itself.  Commands are walked in
+    # program order; each carries the procedures on its call chain from
+    # Main, and a procedure is walked again in a context only when reached
+    # through a longer chain.
+    walked = {}                # (procedure, context) -> longest chain walked
+    work = []
+    if "Main" in program.procs:
+        work.append((program.procs["Main"], "top", frozenset({"Main"})))
+    while work:
+        cmd, ctx, chain = work.pop()
         kind = type(cmd)
         if kind is Call:
             if cmd.name in program.rules:
-                return
+                continue
             body = program.procs.get(cmd.name)
             if body is None:
                 errors.append(f"undefined name {cmd.name!r}")
-                return
-            if cmd.name in stack:
+            elif cmd.name in chain:
                 errors.append(f"recursive procedure {cmd.name!r}")
-                return
-            key = (cmd.name, ctx)
-            if key in checked:
-                return
-            checked.add(key)
-            check(body, ctx, stack | {cmd.name})
+            elif len(chain) > MAX_NESTING:
+                errors.append(f"procedure {cmd.name!r} is called through a chain "
+                              f"of {len(chain)} calls (at most {MAX_NESTING})")
+            elif walked.get((cmd.name, ctx), 0) < len(chain):
+                walked[cmd.name, ctx] = len(chain)
+                work.append((body, ctx, chain | {cmd.name}))
         elif kind is RuleSet:
             for n in cmd.names:
                 if n not in program.rules:
                     errors.append(f"rule set member {n!r} is not a rule")
         elif kind is Seq:
-            for p in cmd.parts:
-                check(p, ctx, stack)
+            work.extend((p, ctx, chain) for p in reversed(cmd.parts))
         elif kind is Loop:
-            check(cmd.body, "loop", stack)
+            work.append((cmd.body, "loop", chain))
         elif kind in (Try, If):
-            check(cmd.cond, "cond", stack)
-            check(cmd.then_part, ctx, stack)
-            check(cmd.else_part, ctx, stack)
+            work += ((cmd.else_part, ctx, chain), (cmd.then_part, ctx, chain),
+                     (cmd.cond, "cond", chain))
         elif kind is Break:
             if ctx == "cond":
                 errors.append("break inside a try/if condition")
             elif ctx == "top":
                 errors.append("break outside any loop")
-
-    if "Main" in program.procs:
-        check(program.procs["Main"], "top", frozenset({"Main"}))
 
     if errors:
         raise ValidationError("; ".join(sorted(set(errors))))

@@ -41,6 +41,28 @@ counters accumulate in locals and are settled in a `finally`.  So an
 iteration of the BST descent costs no call, no prologue and no counter
 flush.
 
+The compiled searches reject candidates early in three ways, none of
+which changes the match found or any MatchStats counter, per-call maxima
+included:
+
+- Adjacency first: when the next plan step loops over a node's out- or
+  in-adjacency, a node whose list is empty is rejected before its label,
+  marks and injectivity are tested; the next loop would count nothing.
+- Early conjuncts: when the last plan step anchors a single-node
+  component, the top-level `and` conjuncts of the condition that need
+  nothing from it are tested just before it; a failing one adds the
+  anchor's candidate count to the extension steps at once, as probing
+  each candidate would.
+- Hoisted anchors: in a loop function, a later anchor over a root
+  registry whose component is its node alone is unified once per call
+  into a list of (registry positions since the previous entry, node,
+  bound atoms).  Each attempt loops over that list, counting each entry's
+  positions and, when the list runs out, the positions after its last
+  entry; a variable bound before is compared with the entry's atom and
+  injectivity is tested per attempt.  A list is rebuilt after a member's
+  rewrite that can root, unroot, remark, relabel, create or delete a
+  node filed in its registry, as decided from the rule (_changes_roots).
+
 A match must be injective on nodes and edges, preserve rootedness in both
 directions, satisfy mark compatibility (the `any` wildcard accepts the
 four concrete marks but not unmarked), unify all labels under one
@@ -350,6 +372,64 @@ def _refiles_roots(rule: Rule) -> bool:
                for p in rule.interface)
 
 
+def _changes_roots(rule: Rule, mark: str) -> bool:
+    """Can the rewrite add, drop, reorder or relabel a root filed under
+    `mark`: root, unroot, remark, relabel, create or delete one?"""
+    if _refiles_roots(rule):
+        return True
+    lhs, rhs = rule.lhs.nodes, rule.rhs.nodes
+    for pid, rn in rhs.items():
+        if pid not in rule.interface and rn.rooted and rn.mark == mark:
+            return True
+    for pid, ln in lhs.items():
+        filed = ln.rooted and ln.mark in (mark, "any")
+        if pid not in rule.interface:
+            if filed:
+                return True
+            continue
+        rn = rhs[pid]
+        new_mark = ln.mark if rn.mark == "any" else rn.mark
+        changed = (rn.label != ln.label or new_mark != ln.mark
+                   or rn.rooted != ln.rooted)
+        if changed and (filed or rn.rooted and new_mark in (mark, "any")):
+            return True
+    return False
+
+
+def _schedule(rule: Rule) -> tuple:
+    """The top-level `and` conjuncts of the condition, left to right, split
+    into those tested early, before the plan's last step, and the rest.
+
+    A conjunct goes early when the last step is the anchor of a single-node
+    component and the conjunct refers to no variable or node that anchor
+    binds: failing, it then rejects every candidate of that anchor, which
+    the search skips and counts at once."""
+    conjuncts, stack = [], [rule.cond] if rule.cond is not None else []
+    while stack:
+        c = stack.pop()
+        if type(c) is AndC:
+            stack += (c.right, c.left)
+        else:
+            conjuncts.append(c)
+    plan = rule.plan
+    if len(plan) < 2 or plan[-1][0] != "anchor":
+        return [], conjuncts
+    # The last anchor's node has no edges, so the steps before it bind
+    # every other node and edge, and their variables.
+    last = plan[-1][1]
+    bound = set()
+    for pid, pn in rule.lhs.nodes.items():
+        if pid != last:
+            bound.update(pn.label.variables())
+    for pe in rule.lhs.edges:
+        bound.update(pe.label.variables())
+    early, late = [], []
+    for c in conjuncts:
+        names, pids = cond_refs(c)
+        (early if last not in pids and names <= bound else late).append(c)
+    return early, late
+
+
 def _may_share(a: PatternNode, b: PatternNode) -> bool:
     """Can one host node pass the root and mark tests of both patterns?"""
     if a.rooted != b.rooted:
@@ -369,6 +449,14 @@ class _Codegen:
     int, str and bool constants (atoms, marks, the rule name).  Variable
     names and any other constant are passed in the namespace under indexed
     names; variables, host nodes and host edges live in indexed locals.
+
+    A search nest tests each candidate with the cheapest rejections first
+    (see the module docstring): bind_node tests an adjacency list the next
+    step loops over before the node's label, test_early tests the early
+    conjuncts before the last anchor, and inline_member reads a loop
+    function's hoisted lists through hoisted_anchor.  Each keeps the
+    counter contract: a candidate a step reads counts once, whether it is
+    probed, skipped in a hoisted list or rejected with all its siblings.
     """
 
     def __init__(self):
@@ -378,6 +466,8 @@ class _Codegen:
         self.depth = 1         # indentation of the next line
         self.nsources = 0      # candidate sources read so far
         self.registries = {}   # root registry source -> local, in a loop
+        self.hoists = {}       # (source, unifying lines) -> hoisted list index
+        self.fail = None       # the statement that rejects a candidate
 
     def use(self, rule: Rule) -> None:
         """Start emitting `rule`'s search."""
@@ -387,6 +477,7 @@ class _Codegen:
         self.vars = {}         # variable name -> (local, kind of its binding slot)
         self.nodes = {}        # pid -> (local, pattern node)
         self.edges = []        # (lhs edge index, local, pattern edge)
+        self.early, self.late = _schedule(rule)
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
@@ -437,12 +528,27 @@ class _Codegen:
             self.close_function()
 
     def step(self, i: int, s: tuple) -> None:
+        self.i = i
         if s[0] == "anchor":
             self.anchor(i, s[1], s[2])
         elif s[0] == "extend":
             self.extend(*s[1:])
         else:
             self.close(s[1])
+        self.test_early()
+
+    def test_early(self) -> None:
+        """Before the plan's last step, test the conjuncts scheduled early;
+        one that fails skips every candidate of the last anchor and counts
+        them, as testing it at each of them would."""
+        plan = self.rule.plan
+        if not self.early or self.i != len(plan) - 2:
+            return
+        pid, source = plan[-1][1:]
+        cands = self.sources[self.anchor_source(pid, source)]
+        self.emit(f"if not {self.conjunction(self.early)}:")
+        self.emit(f"    nx += len({cands})")
+        self.emit(f"    {self.fail}")
 
     def anchor_sources(self) -> list:
         """The anchor sources of the rule's plan, in plan order."""
@@ -480,8 +586,9 @@ class _Codegen:
         applies that member, or ends the loop if none matches.
 
         The stores, the root registries and the journal are read once per
-        loop, and the registries again after a rewrite that refiles them.
-        Counters accumulate in locals and are settled when the function
+        loop, and the registries again after a rewrite that refiles them;
+        the hoisted lists are built once per loop, and each again after a
+        rewrite that can make it stale.  Counters accumulate in locals and are settled when the function
         is left, however it is left.  A member whose plan is empty, needs
         a helper function or would nest too deep is called through its
         fused applier instead."""
@@ -505,7 +612,11 @@ class _Codegen:
                 self.read_sources([s for s in self.anchor_sources()
                                    if s[0] == "roots" and s != ("roots",)])
                 counts.setdefault(rule.name, f"k{len(counts)}")
+                for i, s in enumerate(rule.plan):
+                    if self.hoistable(i, s):
+                        self.hoist(s[1])
             self.registries = dict(self.sources)
+            self.emit_lines(self.rebuilt())
             self.emit("fr = g._frames")
             self.emit("j = fr[-1][0] if len(fr) > 1 else DISCARD")
             self.emit("NA = NX = MA = MX = 0")
@@ -556,8 +667,9 @@ class _Codegen:
         return lines
 
     def inline_member(self, rule: Rule, count: str) -> list:
-        """Emit one attempt of `rule`: its search nest, which breaks out at
-        the first match, then an else clause that holds the attempts of the
+        """Emit one attempt of `rule`: its search nest, with hoistable
+        anchors read from their hoisted lists, which breaks out at the
+        first match, then an else clause that holds the attempts of the
         later members; return the lines that apply the match, which go
         after that clause."""
         self.use(rule)
@@ -566,13 +678,21 @@ class _Codegen:
         self.read_sources(self.anchor_sources())
         top = self.depth
         self.loops = 0
+        tails = {}             # depth of a hoisted anchor's loop -> its tail
         for i, s in enumerate(rule.plan):
-            self.step(i, s)
+            if self.hoistable(i, s):
+                depth = self.depth
+                tails[depth] = self.hoisted_anchor(i, s[1])
+            else:
+                self.step(i, s)
         self.finish()
-        # Propagate the break of the innermost loop out of the nest.
+        # Propagate the break of the innermost loop out of the nest; a
+        # hoisted anchor's list that runs out counts the registry's tail.
         while self.depth > top + 1:
             self.depth -= 1
             self.emit("else:")
+            if self.depth in tails:
+                self.emit(f"    nx += {tails[self.depth]}")
             self.emit("    continue")
             self.emit("break")
         self.depth = top
@@ -591,6 +711,87 @@ class _Codegen:
         self.depth = top + 1
         return hit
 
+    def hoistable(self, i: int, s: tuple) -> bool:
+        """Is step `i` of a loop function's member a non-first anchor over
+        a root registry whose component is its node alone?  Such an
+        anchor unifies the same roots on every attempt, so the loop
+        function unifies them once into a hoisted list."""
+        if i == 0 or s[0] != "anchor":
+            return False
+        source = self.anchor_source(s[1], s[2])
+        return (source[0] == "roots" and source != ("roots",)
+                and all(s[1] not in (pe.src, pe.tgt) for pe in self.rule.lhs.edges))
+
+    def hoist(self, pid) -> tuple:
+        """Register the hoisted list of the anchor of `pid`; return its index
+        and the (name, slot kind) of the variables its entries bind.
+
+        Function hoist<k>(nodes, reg) unifies the roots of registry `reg`,
+        most recently rooted first, with the node's label, binding every
+        variable afresh.  It returns the list of (registry positions since
+        the previous entry, node, bound atoms) of the roots that pass, and
+        the positions after the last entry.  Anchors whose unification
+        reads the same registry in the same way share one list."""
+        source = self.anchor_source(pid, ("roots",))
+        outer = self.lines, self.depth, self.vars, self.fail
+        self.lines, self.depth, self.vars, self.fail = [], 2, {}, "continue"
+        self.emit("d += 1")
+        self.emit("lab = nodes[n].label")
+        self.unify(self.rule.lhs.nodes[pid].label)
+        atoms = "".join(f", {local}" for local, _ in self.vars.values())
+        self.emit(f"h.append((d, n{atoms}))")
+        self.emit("d = 0")
+        body = self.lines
+        bound = [(name, kind) for name, (_, kind) in self.vars.items()]
+        self.lines, self.depth, self.vars, self.fail = outer
+        key = (source, tuple(body))
+        if key not in self.hoists:
+            k = self.hoists[key] = len(self.hoists)
+            self.funcs.append("\n".join([f"def hoist{k}(nodes, reg):", "    h = []",
+                                         "    d = 0", "    for n in reversed(reg):",
+                                         *body, "    return h, d"]))
+        return self.hoists[key], bound
+
+    def rebuilt(self, rule: Optional[Rule] = None) -> list:
+        """Lines building every hoisted list, or each that a rewrite by
+        `rule` can make stale."""
+        return [f"H{k}, T{k} = hoist{k}(nodes, {self.registries[source]})"
+                for (source, _), k in self.hoists.items()
+                if rule is None or _changes_roots(rule, source[1])]
+
+    def hoisted_anchor(self, i: int, pid) -> str:
+        """Emit the anchor of `pid` as a loop over its hoisted list, which
+        counts each entry's registry positions; return the local holding
+        the list's tail.  A variable bound before is compared with the
+        entry's atom, and injectivity is tested here, per attempt."""
+        self.i = i
+        pn = self.rule.lhs.nodes[pid]
+        k, bound = self.hoist(pid)
+        local = f"n{len(self.nodes)}"
+        targets, joins = [], []
+        for name, kind in bound:
+            if name in self.vars:
+                w = f"w{len(joins)}"
+                joins.append((w, self.vars[name][0], kind))
+                targets.append(w)
+            else:
+                targets.append(self.new_var(name, kind))
+        atoms = "".join(f", {t}" for t in targets)
+        self.emit(f"for d, {local}{atoms} in H{k}:")
+        self.depth += 1
+        self.loops += 1
+        self.fail = "continue"
+        self.emit("nx += d")
+        self.test_unused(local, [other for other, opn in self.nodes.values()
+                                 if _may_share(opn, pn)])
+        for w, v, kind in joins:
+            same = f"{w} != {v}" if kind == "list" else \
+                f"{w} != {v} or type({w}) is not type({v})"
+            self.emit(f"if {same}: continue")
+        self.nodes[pid] = (local, pn)
+        self.test_early()
+        return f"T{k}"
+
     def called_member(self, rule: Rule) -> None:
         """Emit one attempt of `rule` through its fused applier."""
         self.emit(f"if {self.ref(fused_applier(rule))}(g, stats):")
@@ -604,6 +805,7 @@ class _Codegen:
         if _refiles_roots(rule):
             for source, local in self.registries.items():
                 self.emit(f"{local} = g._roots[{self.lit(source[1])}]")
+        self.emit_lines(self.rebuilt(rule))
         self.emit(f"if tr is not None: tr({self.lit(rule.name)})")
         self.emit("continue")
 
@@ -676,7 +878,6 @@ class _Codegen:
             # gets its own iterator, as anchors of one mark may nest.
             cands = f"reversed({cands})"
         self.loop(local, cands, "na" if i == 0 else "nx")
-        self.emit(f"r = nodes[{local}]")
         # A root registry holds only roots, and a mark index or a mark's
         # root registry only nodes with that mark.
         self.bind_node(pid, local, test_root=source[0] != "roots",
@@ -695,7 +896,6 @@ class _Codegen:
         self.test_edge(pe)
         local = f"n{len(self.nodes)}"
         self.emit(f"{local} = r.{'tgt' if use_out else 'src'}")
-        self.emit(f"r = nodes[{local}]")
         self.bind_node(new, local, test_root=True, test_mark=True)
         self.edges.append((eidx, e, pe))
 
@@ -727,6 +927,12 @@ class _Codegen:
 
     def bind_node(self, pid, local: str, test_root: bool, test_mark: bool) -> None:
         pn = self.rule.lhs.nodes[pid]
+        adj = self.next_adjacency(pid)
+        if adj:
+            # The next step loops over this list: when it is empty, that
+            # loop counts nothing and matches nothing.
+            self.emit(f"if not {adj}[{local}]: {self.fail}")
+        self.emit(f"r = nodes[{local}]")
         if test_root:
             self.emit(f"if r.rooted != {self.lit(pn.rooted)}: {self.fail}")
         if test_mark:
@@ -739,6 +945,19 @@ class _Codegen:
         self.unify(pn.label)
         self.nodes[pid] = (local, pn)
 
+    def next_adjacency(self, pid) -> Optional[str]:
+        """The store whose list at node `pid` the next plan step loops
+        over, when it loops over one of that node's lists."""
+        plan = self.rule.plan
+        if self.i + 1 == len(plan):
+            return None
+        s = plan[self.i + 1]
+        if s[0] == "extend" and s[2] == pid:
+            return "out_adj" if s[4] else "in_adj"
+        if s[0] == "close" and self.rule.lhs.edges[s[1]].src == pid:
+            return "out_adj"
+        return None
+
     def unify(self, pattern: LabelPattern) -> None:
         """Test `lab` against the pattern, binding new variables in order:
         prefix, suffix from the end, then the list slot."""
@@ -746,7 +965,7 @@ class _Codegen:
         n = len(items)
         la = pattern.list_at
         if la is None:
-            self.emit(f"if len(lab) != {n}: {self.fail}")
+            self.emit(f"if {'lab' if n == 0 else f'len(lab) != {n}'}: {self.fail}")
             for i, item in enumerate(items):
                 self.scalar(item, f"lab[{i}]")
             return
@@ -795,8 +1014,8 @@ class _Codegen:
 
     def finish(self) -> None:
         rule = self.rule
-        if rule.cond is not None:
-            self.emit(f"if not {self.cond(rule.cond)}: {self.fail}")
+        if self.late:
+            self.emit(f"if not {self.conjunction(self.late)}: {self.fail}")
         # Matched edges are distinct, so a deleted node has no unmatched
         # incident edge iff its degrees equal its matched edge counts.
         for pid in self.deleted:
@@ -828,6 +1047,11 @@ class _Codegen:
                          for name, (local, _) in self.vars.items())
         self.emit(f"m = Match({{{nmap}}}, {{{emap}}}, {{{amap}}})")
         self.return_("m")
+
+    def conjunction(self, conds: list) -> str:
+        """One test of all the conditions `conds`."""
+        parts = [self.cond(c) for c in conds]
+        return parts[0] if len(parts) == 1 else f"({' and '.join(parts)})"
 
     def cond(self, c) -> str:
         k = type(c)

@@ -8,13 +8,14 @@ canonical (ascending ids, labels always written, `empty` never elided).
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple, Optional
 
 from .errors import ParseError
 from .hostgraph import EDGE_MARKS, NODE_MARKS, HostGraph
 from .interp import (
-    BREAK, FAIL, SKIP, Call, Command, If, Loop, Program, RuleSet, Seq, Try,
-    validate_program,
+    BREAK, FAIL, MAX_NESTING, SKIP, Call, Command, If, Loop, Program, RuleSet, Seq,
+    Try, validate_program,
 )
 from .labels import (
     AndC, ArithT, CmpC, DegT, IntT, LabelPattern, NotC, OrC, VarT,
@@ -31,6 +32,16 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+
+# Commands and conditions are parsed by recursive descent, at most three
+# frames per nested unit: a parenthesis, `try`, `if` or `not`.  Parentheses
+# nest at most MAX_NESTING deep; units of every kind together at most
+# _MAX_UNITS deep, so that `try` and `if` nested past MAX_NESTING still
+# parse and validate_program reports them.  The parser raises the caller's
+# recursion limit by _FRAMES_PER_UNIT frames per unit while it runs.
+_MAX_UNITS = 2 * MAX_NESTING
+_FRAMES_PER_UNIT = 3
 
 
 class Token(NamedTuple):
@@ -74,6 +85,21 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.parens = 0        # open parentheses
+        self.units = 0         # open units of every kind
+
+    def enter(self, paren: bool) -> None:
+        """Open a nested unit, a parenthesis if `paren`."""
+        self.parens += paren
+        self.units += 1
+        if self.parens > MAX_NESTING:
+            self.error(f"parentheses nest more than {MAX_NESTING} deep")
+        if self.units > _MAX_UNITS:
+            self.error(f"commands and conditions nest more than {_MAX_UNITS} deep")
+
+    def leave(self, paren: bool) -> None:
+        self.parens -= paren
+        self.units -= 1
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -287,12 +313,18 @@ class _Parser:
         return left
 
     def parse_cond_not(self):
-        if self.accept("ident", "not"):
-            return NotC(self.parse_cond_not())
+        if self.at("ident", "not"):
+            self.enter(False)
+            self.take()
+            cond = NotC(self.parse_cond_not())
+            self.leave(False)
+            return cond
         if self.at("punct", "("):
+            self.enter(True)
             self.take()
             inner = self.parse_cond()
             self.expect("punct", ")")
+            self.leave(True)
             return inner
         return self.parse_cmp()
 
@@ -353,9 +385,11 @@ class _Parser:
     def parse_unit(self) -> Command:
         tok = self.peek()
         if tok.kind == "punct" and tok.value == "(":
+            self.enter(True)
             self.take()
             cmd = self.parse_command()
             self.expect("punct", ")")
+            self.leave(True)
             return cmd
         if tok.kind == "punct" and tok.value == "{":
             self.take()
@@ -367,6 +401,7 @@ class _Parser:
         if tok.kind == "ident":
             word = tok.value
             if word == "try":
+                self.enter(False)
                 self.take()
                 cond = self.parse_post()
                 then_part: Command = SKIP
@@ -375,8 +410,10 @@ class _Parser:
                     then_part = self.parse_post()
                 if self.accept("ident", "else"):
                     else_part = self.parse_post()
+                self.leave(False)
                 return Try(cond, then_part, else_part)
             if word == "if":
+                self.enter(False)
                 self.take()
                 cond = self.parse_post()
                 self.expect("ident", "then")
@@ -384,6 +421,7 @@ class _Parser:
                 else_part = SKIP
                 if self.accept("ident", "else"):
                     else_part = self.parse_post()
+                self.leave(False)
                 return If(cond, then_part, else_part)
             if word == "break":
                 self.take()
@@ -429,11 +467,21 @@ def parse_host(text: str) -> HostGraph:
     return g
 
 
+def _descend(parse):
+    """Run `parse()` with room on the stack for the deepest nesting."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + _FRAMES_PER_UNIT * _MAX_UNITS)
+    try:
+        return parse()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def parse_rule(text: str) -> Rule:
     """Parse and validate a single rule declaration."""
     p = _Parser(text)
     name = p.expect("ident").value
-    rule = p.parse_rule_after_name(name)
+    rule = _descend(lambda: p.parse_rule_after_name(name))
     p.expect("eof")
     validate_rule(rule)
     return rule
@@ -441,7 +489,7 @@ def parse_rule(text: str) -> Rule:
 
 def parse_program(text: str) -> Program:
     """Parse and validate a program; its warnings go to `warnings`."""
-    program = _Parser(text).parse_program()
+    program = _descend(_Parser(text).parse_program)
     program.warnings = validate_program(program)
     return program
 

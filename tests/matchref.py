@@ -5,7 +5,10 @@ The reference matcher enumerates every injective node map outright and
 checks rootedness, marks, label unification, the rule condition, and the
 dangling condition, with no search plan and no pruning.  It is the
 independent oracle the engine's matcher is compared against on small
-graphs.  The reference rewrite applies a match through the public
+graphs.  The reference search walks a rule's search plan interpretively,
+reading candidates from the same sources in the same order as the
+compiled search but pruning nothing, so it gives the first match and the
+exact counters any correct compiled search must report.  The reference rewrite applies a match through the public
 HostGraph mutators only, so the engine's compiled rewrite can be compared
 against it entry by entry in the journal.  The reference interpreter
 walks a program's command tree, scoping every loop iteration and every
@@ -22,10 +25,11 @@ from rootedgp.interp import (
     DEFAULT_MAX_ITERS, Break, Call, Fail, If, Loop, RuleSet, Seq, Skip, Status, Try,
 )
 from rootedgp.labels import (
-    CmpC, DegT, IntT, LabelPattern, VarT, eval_cond, eval_pattern, unify_label,
+    AndC, CmpC, DegT, IntT, LabelPattern, VarT, eval_cond, eval_pattern, unify_label,
 )
 from rootedgp.rules import (
-    MatchStats, PatternEdge, PatternGraph, PatternNode, Rule, apply_rule, validate_rule,
+    BUDGET_EXHAUSTED, Match, MatchStats, PatternEdge, PatternGraph, PatternNode, Rule,
+    apply_rule, validate_rule,
 )
 
 
@@ -111,6 +115,129 @@ def brute_force_exists(rule: Rule, g: HostGraph) -> bool:
                 continue
             return True
     return False
+
+
+def reference_search(rule: Rule, g: HostGraph) -> tuple:
+    """The first match of `rule` in `g` and the search's counters,
+    (match or None, anchors tried, extension steps), by walking the plan.
+
+    A rooted anchor with a concrete mark reads that mark's root registry,
+    most recently rooted first; any other rooted anchor all roots in that
+    order, a marked anchor the mark's nodes and an unmarked one all nodes,
+    in ascending id; an extension or close reads the adjacency list of its
+    known end.  Every candidate read counts once, the first anchor's as an
+    anchor tried and every other one as an extension step, and is tested
+    in full; the condition and the dangling condition are tested only
+    once every step has bound its node or edge."""
+    plan, lhs = rule.plan, rule.lhs
+    counts = [0, 0]            # anchors tried, extension steps
+    nmap, emap = {}, {}
+
+    def bind(pid, h, a):
+        pn, rec = lhs.nodes[pid], g.nodes[h]
+        if not _node_ok(pn, rec) or h in nmap.values():
+            return None
+        return unify_label(pn.label, rec.label, a)
+
+    def complete(a) -> bool:
+        if rule.cond is not None:
+            def deg(fn, pid):
+                return g.outdeg(nmap[pid]) if fn == "outdeg" else g.indeg(nmap[pid])
+            if not eval_cond(rule.cond, a, deg):
+                return False
+        used = set(emap.values())
+        return all(eid in used
+                   for pid in set(lhs.nodes) - rule.interface
+                   for eid in g.in_adj[nmap[pid]] + g.out_adj[nmap[pid]])
+
+    def walk(i, a):
+        if i == len(plan):
+            return a if complete(a) else None
+        s = plan[i]
+        if s[0] == "anchor":
+            pid, source = s[1], s[2]
+            mark = lhs.nodes[pid].mark
+            if source == ("roots",):
+                cands = (list(reversed(g._roots[mark])) if mark != "any"
+                         else g.roots_by_recency())
+            elif source[0] == "mark":
+                cands = g.nodes_with_mark(source[1])
+            else:
+                cands = g.node_ids()
+            for h in cands:
+                counts[i > 0] += 1
+                b = bind(pid, h, a)
+                if b is None:
+                    continue
+                nmap[pid] = h
+                b = walk(i + 1, b)
+                if b is not None:
+                    return b
+                del nmap[pid]
+            return None
+        eidx = s[1]
+        pe = lhs.edges[eidx]
+        if s[0] == "extend":
+            known, new, use_out = s[2:]
+            cands = (g.out_adj if use_out else g.in_adj)[nmap[known]]
+        else:
+            cands = g.out_adj[nmap[pe.src]]
+        for eid in cands:
+            counts[1] += 1
+            rec = g.edges[eid]
+            if eid in emap.values() or not _edge_mark_ok(pe.mark, rec.mark):
+                continue
+            b = unify_label(pe.label, rec.label, a)
+            if b is None:
+                continue
+            if s[0] == "extend":
+                h = rec.tgt if use_out else rec.src
+                b = bind(new, h, b)
+                if b is None:
+                    continue
+                nmap[new] = h
+            elif rec.tgt != nmap[pe.tgt]:
+                continue
+            emap[eidx] = eid
+            b = walk(i + 1, b)
+            if b is not None:
+                return b
+            del emap[eidx]
+            if s[0] == "extend":
+                del nmap[new]
+        return None
+
+    a = walk(0, {})
+    m = None if a is None else Match(dict(nmap), dict(emap), a)
+    return m, counts[0], counts[1]
+
+
+def reference_loop(members: list, g: HostGraph, stats: MatchStats, tr, it: int,
+                   max_iters: int) -> int:
+    """The loop `{members}!` run with reference_search and reference_apply:
+    each iteration counts against the budget, then the members are searched
+    in turn and the first that matches is applied; returns the iterations
+    counted so far, as the loop function of rules.fused_loop does."""
+    while True:
+        it += 1
+        if it > max_iters:
+            raise DivergenceError(BUDGET_EXHAUSTED.format(max_iters))
+        for rule in members:
+            m, na, nx = reference_search(rule, g)
+            stats.anchors_tried += na
+            stats.extension_steps += nx
+            stats.max_anchors_per_call = max(stats.max_anchors_per_call, na)
+            stats.max_extensions_per_call = max(stats.max_extensions_per_call, nx)
+            if m is not None:
+                reference_apply(rule, m, g)
+                stats.matches_found += 1
+                stats.applications += 1
+                stats.by_rule[rule.name] = stats.by_rule.get(rule.name, 0) + 1
+                if tr is not None:
+                    tr(rule.name)
+                break
+        else:
+            return it
 
 
 def check_match_valid(rule: Rule, g: HostGraph, m) -> None:
@@ -285,6 +412,84 @@ def random_rule(rng: random.Random, kinds: dict = _KINDS, atoms: list = _ATOMS,
     rule = Rule("fuzz", list(kinds.items()), lhs, rhs, frozenset(interface), cond)
     validate_rule(rule)
     return rule
+
+
+_SEARCH_KINDS = {"x": "int", "y": "int", "a": "atom", "l": "list"}
+_SEARCH_ATOMS = [0, 1, 2, "a"]
+_SEARCH_LABELS = [(), (0,), (1,), (2,), ("a",), (0, 1), (1, "a"), (2, 2), (0, 1, 2)]
+_ROOT_MARKS = ["none", "grey", "grey", "red", "blue"]
+
+
+def random_search_rule(rng: random.Random) -> Rule:
+    """A random rule of two or three lhs components, the later ones mostly
+    single rooted nodes with a concrete mark, with a condition of two or
+    three `and` conjuncts over variables and degrees; its rhs relabels,
+    remarks, reroots, creates, deletes and links."""
+    kinds, atoms = _SEARCH_KINDS, _SEARCH_ATOMS
+    lhs = PatternGraph()
+
+    def node(rooted: bool, mark: str) -> int:
+        pid = len(lhs.nodes) + 1
+        lhs.nodes[pid] = PatternNode(
+            pid, _random_pattern(rng, kinds, atoms, allow_list=True), mark, rooted)
+        return pid
+
+    for c in range(rng.randint(2, 3)):
+        comp = [node(c == 0 or rng.random() < 0.85,
+                     rng.choice(_ROOT_MARKS + ["any"] if c == 0 else _ROOT_MARKS))]
+        for _ in range(rng.choice([0, 1, 2] if c == 0 else [0, 0, 0, 1])):
+            new = node(rng.random() < 0.2, rng.choice(_NODE_MARKS))
+            old = rng.choice(comp)
+            src, tgt = (old, new) if rng.random() < 0.7 else (new, old)
+            lhs.edges.append(PatternEdge(src, tgt, _random_pattern(
+                rng, kinds, atoms, allow_list=False), rng.choice(_EDGE_MARKS)))
+            comp.append(new)
+        if rng.random() < 0.15:
+            end = rng.choice(comp)
+            lhs.edges.append(PatternEdge(end, end, LabelPattern([]), "none"))
+    names = [v for v in _lhs_vars(lhs) if kinds[v] != "list"]
+    pids = sorted(lhs.nodes)
+    conjuncts = []
+    for _ in range(rng.randint(2, 3)):
+        terms = [IntT(rng.randint(0, 2)), DegT(rng.choice(["outdeg", "indeg"]),
+                                               rng.choice(pids))]
+        terms += [VarT(v) for v in names] * 2
+        conjuncts.append(CmpC(rng.choice(["=", "!=", "!=", "<", "<=", "<=", ">", ">=", ">="]),
+                              rng.choice(terms), rng.choice(terms)))
+    cond = conjuncts[0]
+    for c in conjuncts[1:]:
+        cond = AndC(cond, c)
+    interface = {p for p in pids if rng.random() < 0.7 or lhs.nodes[p].mark == "any"}
+    rhs = PatternGraph()
+    for pid in interface:
+        ln = lhs.nodes[pid]
+        rhs.nodes[pid] = PatternNode(pid, ln.label, ln.mark, ln.rooted)
+    if rng.random() < 0.8:
+        _change_rhs(rng, lhs, rhs, kinds, atoms)
+    rule = Rule("search", list(kinds.items()), lhs, rhs, frozenset(interface), cond)
+    validate_rule(rule)
+    return rule
+
+
+def random_rooted_host(rng: random.Random) -> HostGraph:
+    """A host with 0 to 60 roots of each mark, unmarked ones included, most
+    of them isolated, rooted in an order that interleaves the marks, a few
+    unrooted nodes, and edges among a few nodes, self-loops among them."""
+    specs = []
+    for mark in NODE_MARKS:
+        n = rng.randint(0, 60) if rng.random() < 0.3 else rng.randint(0, 6)
+        specs += [(mark, True)] * n
+    specs += [(rng.choice(NODE_MARKS), False) for _ in range(rng.randint(0, 10))]
+    rng.shuffle(specs)
+    g = HostGraph()
+    ids = [g.add_node(rng.choice(_SEARCH_LABELS), mark, rooted) for mark, rooted in specs]
+    if ids:
+        linked = rng.sample(ids, min(len(ids), rng.randint(1, 12)))
+        for _ in range(rng.randint(0, 16)):
+            src = rng.choice(linked)
+            tgt = src if rng.random() < 0.15 else rng.choice(linked)
+            g.add_edge(src, tgt, rng.choice([(), (), (0,), (1,)]), rng.choice(_EDGE_MARKS))
+    return g
 
 
 _VALUES = {

@@ -216,5 +216,26 @@ class TestValidate:
         assert err == (f"validation error: procedure 'Main' nests commands "
                        f"{MAX_NESTING + 1} deep (at most {MAX_NESTING})\n")
 
+    def test_too_deep_parentheses_exit_2_on_one_line(self, tmp_path, capsys):
+        deep = tmp_path / "deep.gp2"
+        depth = MAX_NESTING + 1
+        deep.write_text("Main = " + "(" * depth + "r" + ")" * depth + "\n"
+                        "r() [ | ] => [ | ] interface = {}\n")
+        assert main(["validate", str(deep)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"syntax error: 1:{7 + depth}: parentheses nest more than "
+                       f"{MAX_NESTING} deep\n")
+
+    def test_too_long_call_chain_exits_3_on_one_line(self, tmp_path, capsys):
+        chain = tmp_path / "chain.gp2"
+        calls = "".join(f"P{i} = P{i + 1}\n" for i in range(1, 1000))
+        chain.write_text("Main = P1\n" + calls + "P1000 = r\n"
+                         "r() [ | ] => [ | ] interface = {}\n")
+        assert main(["validate", str(chain)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"validation error: procedure 'P{MAX_NESTING + 1}' is called "
+                       f"through a chain of {MAX_NESTING + 1} calls "
+                       f"(at most {MAX_NESTING})\n")
+
     def test_usage_error_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -574,6 +574,44 @@ def test_deep_nesting_continues_in_helpers():
     assert max(len(line) - len(line.lstrip()) for line in source.splitlines()) < 4 * 100
 
 
+def _call_chain(length: int) -> Program:
+    """Main calling P1, which calls P2, and so on: `length` calls, the
+    last of which calls `consume`."""
+    procs = {"Main": Call("P1")}
+    for i in range(1, length):
+        procs[f"P{i}"] = Call(f"P{i + 1}")
+    procs[f"P{length}"] = Call("consume")
+    return _consume_program(procs)
+
+
+class TestCallChains:
+    def test_limit_validates_and_runs(self):
+        result, trace, _, _ = _agree(_call_chain(MAX_NESTING), _host(2))
+        assert result is Status.SUCCESS and trace == ["consume"]
+
+    @pytest.mark.parametrize("length", [MAX_NESTING + 1, 1000, 5000])
+    def test_longer_chain_is_rejected(self, length):
+        with pytest.raises(ValidationError) as e:
+            _call_chain(length)
+        assert str(e.value) == (f"procedure 'P{MAX_NESTING + 1}' is called through "
+                                f"a chain of {MAX_NESTING + 1} calls "
+                                f"(at most {MAX_NESTING})")
+
+    def test_chain_length_counts_the_longest_path(self):
+        # P is walked first straight from Main, then again at the end of a
+        # chain through Q1, Q2, ... whose call of R is one too many.
+        procs = {"Main": Seq((Call("P"), Call("Q1"))), "P": Call("R"),
+                 "R": Call("consume")}
+        for i in range(1, MAX_NESTING - 1):
+            procs[f"Q{i}"] = Call(f"Q{i + 1}")
+        procs[f"Q{MAX_NESTING - 1}"] = Call("P")
+        with pytest.raises(ValidationError, match="procedure 'R' is called through"):
+            _consume_program(procs)
+        del procs[f"Q{MAX_NESTING - 1}"]
+        procs[f"Q{MAX_NESTING - 2}"] = Call("P")
+        assert _agree(_consume_program(procs), _host(2))[0] is Status.SUCCESS
+
+
 def test_procedure_chain_compiles_to_linear_source():
     procs = {f"P{i}": Seq((Call(f"P{i + 1}"), Call(f"P{i + 1}"))) for i in range(20)}
     procs["P20"] = Call("consume")

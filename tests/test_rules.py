@@ -1,21 +1,23 @@
 import gc
 import random
+import sys
 
 import pytest
 
-from rootedgp.errors import ValidationError
+from rootedgp.errors import DivergenceError, ValidationError
 from rootedgp.hostgraph import HostGraph
 from rootedgp.labels import ArithT, CmpC, DegT, IntT, LabelPattern, OrC, VarT
 from rootedgp.interp import Call, Program, Status, run
 from rootedgp.rules import (
-    Match, MatchStats, PatternEdge, PatternGraph, PatternNode, Rule, apply_match,
-    apply_rule, find_match, validate_rule,
+    Match, MatchStats, PatternEdge, PatternGraph, PatternNode, Rule, _Codegen,
+    apply_match, apply_rule, find_match, fused_loop, validate_rule,
 )
 from rootedgp.text import parse_host, parse_rule
 
 from matchref import (
-    brute_force_exists, check_match_valid, plant_lhs, random_host, random_rule,
-    reference_apply, root_anchored,
+    brute_force_exists, check_match_valid, plant_lhs, random_host, random_rooted_host,
+    random_rule, random_search_rule, reference_apply, reference_loop,
+    reference_search, root_anchored,
 )
 
 GO_RIGHT1 = """
@@ -511,3 +513,110 @@ class TestCompiledRewrite:
             g.check_registries()
             applied += outcomes[0][0]
         assert applied > 1000
+
+
+def _loop_outcome(loop, members, host, max_iters):
+    """A loop over `members` run by `loop` on a copy of `host` inside a
+    scope, which rolling back must undo: result, trace, counters, state."""
+    g = host.clone()
+    token = g.begin_scope()
+    stats = MatchStats()
+    trace = []
+    try:
+        result = loop(members, g, stats, trace.append, 0, max_iters)
+    except DivergenceError as e:
+        result = str(e)
+    g.check_registries()
+    after = g.state(), [list(reg) for reg in g._roots.values()]
+    g.rollback_scope(token)
+    assert g.state() == host.state()
+    return result, trace, _counters(stats), after
+
+
+def _compiled_loop(members, g, stats, tr, it, max_iters):
+    return fused_loop(members)(g, stats, tr, it, max_iters)
+
+
+class TestSearchCounters:
+    """The compiled searches, which reject candidates early and read hoisted
+    candidate lists, against the reference search, which does neither."""
+
+    def test_agree_with_reference_search(self):
+        hoisted = rebuilt = found = early = loop_apps = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            rules = []
+            host = random_rooted_host(rng)
+            for i in range(rng.randint(1, 3)):
+                rule = random_search_rule(rng)
+                rule.name = f"r{i}"
+                rules.append(rule)
+                for _ in range(rng.choice([0, 1, 1, 2])):
+                    plant_lhs(rng, rule, host)
+            for rule in rules:
+                m, na, nx = reference_search(rule, host)
+                found += m is not None
+                stats = MatchStats()
+                assert find_match(rule, host, stats) == m
+                assert _counters(stats) == (na, nx, int(m is not None), 0, {}, na, nx)
+                g = host.clone()
+                stats = MatchStats()
+                assert apply_rule(rule, g, stats) == (m is not None)
+                applied = {rule.name: 1} if m else {}
+                assert _counters(stats) == (na, nx, len(applied), len(applied),
+                                            applied, na, nx)
+                want = host.clone()
+                if m is not None:
+                    reference_apply(rule, m, want)
+                assert g.state() == want.state()
+                g.check_registries()
+            gen = _Codegen()
+            gen.loop_function(rules)
+            source = "\n".join(gen.funcs)
+            hoisted += bool(gen.hoists)
+            rebuilt += source.count("= hoist") > len(gen.hoists)
+            early += "+= len(" in source
+            max_iters = rng.choice([1, 3, 20, 200])
+            outcome = _loop_outcome(_compiled_loop, rules, host, max_iters)
+            assert outcome == _loop_outcome(reference_loop, rules, host, max_iters)
+            loop_apps += outcome[2][3]
+        assert found >= 100 and loop_apps >= 400
+        # Loop functions with hoisted lists, lists rebuilt after a member's
+        # rewrite, and conjuncts tested early.
+        assert hoisted >= 200 and rebuilt >= 150 and early >= 150
+
+    @staticmethod
+    def traced_lines(k: int) -> tuple:
+        """Lines the loop function runs when `{go_right1, go_left1}!` fails
+        at once beside k isolated grey roots, and the loop's counters."""
+        rules = [parse_rule(GO_RIGHT1), parse_rule(GO_LEFT1)]
+        loop = fused_loop(rules)
+        g, _, _ = traversal_host(parent_key=5, child_key=7, instr=("s", 5))
+        for key in range(k):
+            g.add_node((key,), "grey", rooted=True)
+        lines = []
+
+        def trace(frame, event, arg):
+            if frame.f_code.co_filename.startswith("<loop "):
+                if event == "line":
+                    lines.append(frame.f_lineno)
+                return trace
+            return None
+
+        stats = MatchStats()
+        sys.settrace(trace)
+        try:
+            loop(g, stats, None, 0, 10)
+        finally:
+            sys.settrace(None)
+        assert stats.applications == 0
+        return len(lines), stats.anchors_tried, stats.extension_steps
+
+    def test_isolated_roots_are_rejected_in_three_lines(self):
+        # Each isolated root costs one probe per member; the adjacency test
+        # rejects it before its label is read.
+        lines50, anchors50, ext50 = self.traced_lines(50)
+        lines100, anchors100, ext100 = self.traced_lines(100)
+        assert (anchors50, ext50) == (102, 4)
+        assert (anchors100, ext100) == (202, 4)
+        assert lines100 - lines50 <= 3 * 50 * 2

@@ -4,6 +4,7 @@ import pytest
 
 from rootedgp.errors import ParseError
 from rootedgp.hostgraph import HostGraph
+from rootedgp.interp import MAX_NESTING, Status, run
 from rootedgp.text import (
     Op, build_instruction_graph, format_opscript, parse_host, parse_opscript,
     parse_program, parse_rule, print_host,
@@ -134,6 +135,46 @@ class TestProgramParsing:
     def test_missing_equals(self):
         with pytest.raises(ParseError, match="expected"):
             parse_program("Main skip")
+
+
+_NOOP = "\nr() [ | ] => [ | ] interface = {}\n"
+
+
+def _nested(kind: str, depth: int) -> str:
+    """Main as `depth` nested parentheses, tries or ifs around `r`."""
+    if kind == "paren":
+        return "Main = " + "(" * depth + "r" + ")" * depth + _NOOP
+    if kind == "try":
+        return "Main = " + "try " * depth + "r" + _NOOP
+    return "Main = " + "if " * depth + "r" + " then r" * depth + _NOOP
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("kind", ["paren", "try", "if"])
+    def test_limit_parses_and_runs(self, kind):
+        program = parse_program(_nested(kind, MAX_NESTING))
+        assert run(program, HostGraph()) is Status.SUCCESS
+
+    def test_deeper_parentheses_are_a_syntax_error(self):
+        with pytest.raises(ParseError, match=f"1:{8 + MAX_NESTING}: parentheses nest "
+                                             f"more than {MAX_NESTING} deep"):
+            parse_program(_nested("paren", MAX_NESTING + 1))
+
+    def test_deep_conditions_parse(self):
+        cond = "(" * MAX_NESTING + "x = 1" + ")" * MAX_NESTING
+        rule = parse_rule(f"r(x:int) [ (1(R), x) | ] => [ (1(R), x) | ] "
+                          f"interface = {{1}} where {cond}")
+        assert rule.cond is not None
+        with pytest.raises(ParseError, match="parentheses nest"):
+            parse_rule(f"r(x:int) [ (1(R), x) | ] => [ (1(R), x) | ] "
+                       f"interface = {{1}} where ({cond})")
+
+    @pytest.mark.parametrize("kind", ["try", "if"])
+    def test_far_deeper_commands_are_a_syntax_error(self, kind):
+        # Past MAX_NESTING, validation reports nesting; far past it the
+        # parser does, before it would run out of stack.
+        with pytest.raises(ParseError, match="nest more than"):
+            parse_program(_nested(kind, 10 * MAX_NESTING))
 
 
 class TestOpScript:
