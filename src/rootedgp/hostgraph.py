@@ -348,8 +348,12 @@ class HostGraph:
 
     def check_registries(self) -> None:
         """Recompute root registries, mark index, and adjacency from the
-        stores; raise GraphError on any divergence, or if a root registry is
-        not in rooting order.  Test support."""
+        stores; raise GraphError on any divergence, if a root registry is
+        not in rooting order, or if two edges share one record (a rewrite
+        hands the record of an edge it deletes to an edge it creates).
+        Test support."""
+        if len({id(rec) for rec in self.edges.values()}) != len(self.edges):
+            raise GraphError("edge records shared")
         for mark, reg in self._roots.items():
             roots = {nid for nid, rec in self.nodes.items()
                      if rec.rooted and rec.mark == mark}

@@ -18,19 +18,26 @@ each command a run of statements that falls through on success and jumps
 on failure or break, each rule call a direct call of the rule's fused
 applier, and each loop over a rule or a rule set one call of its loop
 function (rules.fused_loop), which makes all of that loop's iterations.
-Each run passes in the appliers and the loop functions afresh, a loop
-function compiled again when a member's applier was, so a revalidated
-rule is applied by its new code; validate_program drops the compiled
-control.  Commands nest at most MAX_NESTING deep in a procedure body;
+Each run passes in the appliers, the probes and the loop functions
+afresh, a loop function compiled again when a member's applier was, so a
+revalidated rule is applied by its new code; validate_program drops the
+compiled control.  Commands nest at most MAX_NESTING deep in a procedure body;
 validate_program rejects deeper nesting.
 
 Scopes are opened only where they change the outcome.  A loop body or a
 try condition that is a rule call, a rule set, fail or skip opens none:
 it changes nothing unless it succeeds, so committing its success and
-rolling back its failure are both no-ops.  Other loop bodies and try
-conditions may fail after changing the graph and keep their scopes, and
-an if condition always keeps its scope, since its effects are discarded
-even when it succeeds.
+rolling back its failure are both no-ops.  An if condition that is a rule
+call or a rule set opens none either: it runs as the rules' probes
+(rules.rule_prober), which search, count and report an application as the
+appliers would but do not rewrite, so there is nothing to discard.  Other
+loop bodies and try conditions may fail after changing the graph and keep
+their scopes, and other if conditions keep theirs, since their effects are
+discarded even when they succeed.
+
+A procedure call and a try or if condition that runs in a helper function
+each take a Python frame, so run raises the recursion limit, while the
+control runs, by as many frames as its calls can nest.
 """
 from __future__ import annotations
 
@@ -43,7 +50,7 @@ from .errors import DivergenceError, ValidationError
 from .hostgraph import HostGraph
 from .rules import (
     _MAX_LOOPS, BUDGET_EXHAUSTED, MatchStats, fused_applier, fused_loop,
-    validate_rule,
+    rule_prober, validate_rule,
 )
 # Not called here (the compiled control calls the rules' fused appliers);
 # perfbench/tracing.py wraps these two names in this module's namespace.
@@ -58,6 +65,10 @@ DEFAULT_MAX_ITERS = 10_000_000
 # _FRAMES_PER_LEVEL frames per level while it runs.
 MAX_NESTING = 400
 _FRAMES_PER_LEVEL = 5
+
+# Frames a rule's applier, probe or loop function may take below the
+# control's own functions, counting the helpers of a long search nest.
+_RULE_FRAMES = 100
 
 
 class Status(Enum):
@@ -251,19 +262,27 @@ def run(
         stats = MatchStats()
     if program.compiled is None:
         program.compiled = _compile(program)
-    names, control, loops = program.compiled
+    names, control, loops, probed, frames = program.compiled
     rules = program.rules
     # Read at every run, so a rule revalidated since is applied by its
     # fresh code.
     appliers = [fused_applier(rules[name]) for name in names]
+    probes = [rule_prober(rules[name]) for name in probed]
     functions = [loop.current(rules) for loop in loops]
     depth = len(g._frames)
+    # A chain of procedure calls and condition helpers may run deeper
+    # than the caller's recursion limit allows.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + frames)
     try:
-        status = control(g, stats, on_apply, max_iters, *appliers, *functions)
+        status = control(g, stats, on_apply, max_iters, *appliers, *probes,
+                         *functions)
     except DivergenceError:
         while len(g._frames) > depth:
             g.commit_scope(len(g._frames) - 1)
         raise
+    finally:
+        sys.setrecursionlimit(limit)
     if status is Status.BREAK:
         raise AssertionError("break escaped Main")
     return status
@@ -300,10 +319,12 @@ class _Codegen:
     """Source of one program's control.
 
     The source is one function, `control(g, stats, tr, max_iters, a0, ...,
-    L0, ...)`, taking the rules' fused appliers in the order of
-    `program.rules`, then the loop functions in the order of `self.bodies`.
-    It defines one nested function per procedure and per helper, each
-    returning a Status, and returns what Main's returns.  A command is
+    q0, ..., L0, ...)`, taking the rules' fused appliers in the order of
+    `program.rules`, the probes of the rules in `self.probes`, then the loop
+    functions in the order of `self.bodies`.  It defines one nested
+    function per procedure and per helper, each returning a Status, and
+    returns what Main's returns; `self.frames` is how many frames deep
+    its calls can nest, rules' own frames included.  A command is
     emitted as statements that fall through on success and run the lines
     of a `fail` or a `brk` handler otherwise; each handler ends in a jump
     (`return`, or `break` out of the innermost loop's `while`).
@@ -313,46 +334,73 @@ class _Codegen:
         self.rules = {name: i for i, name in enumerate(program.rules)}
         self.procs = {name: f"p{i}" for i, name in enumerate(program.procs)}
         self.bodies = {}       # members of a looped rule set -> its function
+        self.probes = {}       # rule probed by an if condition -> its local
         self.funcs = []        # finished nested functions, as lines
+        self.callees = {}      # nested function -> the functions it calls
         self.helpers = 0
         # The function being emitted; see `function`.
         self.lines, self.depth, self.loops, self.tokens = [], 0, 0, 0
-        self.iterates = False
+        self.iterates, self.calls = False, set()
         for name, body in program.procs.items():
             self.function(self.procs[name], body)
         params = "".join(f", a{i}" for i in range(len(self.rules)))
+        params += "".join(f", {q}" for q in self.probes.values())
         params += "".join(f", {f}" for f in self.bodies.values())
         lines = [f"def control(g, stats, tr, max_iters{params}):", "    it = 0"]
         for func in self.funcs:
             lines += ["    " + line for line in func]
         lines.append(f"    return {self.procs['Main']}()")
         self.source = "\n".join(lines) + "\n"
+        self.frames = 1 + self.nested(self.procs["Main"]) + _RULE_FRAMES
+
+    def nested(self, root: str) -> int:
+        """How many frames deep the calls from function `root` can nest,
+        its own frame included; walked without recursion.  A call back
+        into a function being walked (a recursive procedure, which
+        validate_program rejects) counts nothing."""
+        depth = {}             # function -> its depth; None while walked
+        stack = [(root, False)]
+        while stack:
+            name, walked = stack.pop()
+            calls = self.callees[name]
+            if walked:
+                depth[name] = 1 + max((depth[c] or 0 for c in calls), default=0)
+            elif name not in depth:
+                depth[name] = None
+                stack.append((name, True))
+                stack += ((c, False) for c in calls if c not in depth)
+        return depth[root]
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
 
     def function(self, name: str, cmd: Command) -> None:
         """Emit `name()`, which runs `cmd` and returns its Status."""
-        outer = self.lines, self.depth, self.loops, self.tokens, self.iterates
+        outer = (self.lines, self.depth, self.loops, self.tokens, self.iterates,
+                 self.calls)
         self.lines = [f"def {name}():"]
         self.depth = 1
         self.loops = 0         # open loops
         self.tokens = 0        # scope tokens so far
         self.iterates = False  # has a loop, so counts iterations
+        self.calls = self.callees[name] = set()
         self.command(cmd, ["return F"], ["return B"])
         self.emit("return S")
         if self.iterates:
             self.lines.insert(1, "    nonlocal it")
         self.funcs.append(self.lines)
-        self.lines, self.depth, self.loops, self.tokens, self.iterates = outer
+        (self.lines, self.depth, self.loops, self.tokens, self.iterates,
+         self.calls) = outer
 
     def call(self, cmd: Command) -> str:
         """A call that runs `cmd` in a function of its own."""
         if type(cmd) is Call and cmd.name not in self.rules:
-            return f"{self.procs[cmd.name]}()"
-        self.helpers += 1
-        name = f"h{self.helpers}"
-        self.function(name, cmd)
+            name = self.procs[cmd.name]
+        else:
+            self.helpers += 1
+            name = f"h{self.helpers}"
+            self.function(name, cmd)
+        self.calls.add(name)
         return f"{name}()"
 
     def token(self) -> str:
@@ -381,9 +429,26 @@ class _Codegen:
             if kind is Fail or kind is Skip:
                 return repr(kind is Skip)
             return None
-        test = " or ".join(
-            f"(a{self.rules[n]}(g, stats) and (tr is None or tr({n!r}) or True))"
-            for n in names)
+        return self.first_of(names, [f"a{self.rules[n]}" for n in names])
+
+    def probe(self, cmd: Command) -> Optional[str]:
+        """For a rule call or a rule set, an expression that is true iff it
+        would succeed, counted and traced as running it is, changing
+        nothing; None for other commands.  An if condition that is such a
+        command opens no scope."""
+        names = self.members(cmd)
+        if names is None:
+            return None
+        for n in names:
+            self.probes.setdefault(n, f"q{len(self.probes)}")
+        return self.first_of(names, [self.probes[n] for n in names])
+
+    @staticmethod
+    def first_of(names: tuple, functions: list) -> str:
+        """An expression calling `functions`, the appliers or probes of
+        the rules `names`, in turn until one succeeds, reporting it."""
+        test = " or ".join(f"({f}(g, stats) and (tr is None or tr({n!r}) or True))"
+                           for n, f in zip(names, functions))
         return f"({test})" if len(names) > 1 else test
 
     def command(self, cmd: Command, fail: list, brk: list) -> None:
@@ -472,11 +537,12 @@ class _Codegen:
     def branch(self, cmd, fail: list, brk: list) -> None:
         """A try or an if, its then and else parts in this function.  The
         condition runs in a scope, except a try condition that `test`
-        can express."""
+        can express and an if condition that `probe` can."""
         is_try = type(cmd) is Try
-        test = self.test(cmd.cond)
+        probe = None if is_try else self.probe(cmd.cond)
+        test = probe or self.test(cmd.cond)
         on_then = on_else = []
-        if not is_try or test is None:
+        if probe is None and (not is_try or test is None):
             t = self.token()
             self.emit(f"{t} = g.begin_scope()")
             self.emit(f"st = {test or self.call(cmd.cond)}")
@@ -503,8 +569,9 @@ class _Codegen:
 
 
 def _compile(program: Program) -> tuple:
-    """(rule names, control function, loop functions) of the program's
-    compiled control; the loop functions compile on first use."""
+    """(rule names, control function, loop functions, probed rule names,
+    frames) of the program's compiled control; the loop functions compile
+    on first use.  The control's calls nest at most `frames` deep."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + _FRAMES_PER_LEVEL * MAX_NESTING)
     try:
@@ -515,4 +582,5 @@ def _compile(program: Program) -> tuple:
           "DivergenceError": DivergenceError}
     exec(compile(gen.source, "<control>", "exec"), ns)
     loops = [_LoopFunction(names) for names in gen.bodies]
-    return tuple(program.rules), ns["control"], loops
+    return (tuple(program.rules), ns["control"], loops, tuple(gen.probes),
+            gen.frames)

@@ -245,12 +245,25 @@ def eval_cond(cond, assignment: dict, degrees: Optional[DegreeFn] = None) -> boo
             return False
         return _CMP[cond.op](a, b)
     if k is AndC:
-        return eval_cond(cond.left, assignment, degrees) and eval_cond(cond.right, assignment, degrees)
+        return all(eval_cond(c, assignment, degrees) for c in operands(cond, AndC))
     if k is OrC:
-        return eval_cond(cond.left, assignment, degrees) or eval_cond(cond.right, assignment, degrees)
+        return any(eval_cond(c, assignment, degrees) for c in operands(cond, OrC))
     if k is NotC:
         return not eval_cond(cond.inner, assignment, degrees)
     raise TypeError(f"not a condition: {cond!r}")
+
+
+def operands(cond, kind) -> list:
+    """The operands of the chain of `kind` (AndC or OrC) at `cond`, left to
+    right; a chain of any length is walked without recursion."""
+    found, stack = [], [cond]
+    while stack:
+        c = stack.pop()
+        if type(c) is kind:
+            stack += (c.right, c.left)
+        else:
+            found.append(c)
+    return found
 
 
 def cond_refs(cond) -> tuple:

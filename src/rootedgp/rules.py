@@ -28,8 +28,22 @@ the first match, reading the matched nodes, edges and variables from the
 loop's locals; the interpreter's compiled control calls it directly.
 find_match (the same loop nest, ending in a Match) is for inspection, and
 apply_match is a checked wrapper over the fused application for a caller
-that inspected the match first.  Each function is compiled on its first
-use, and validate_rule drops both, so an edited rule is compiled afresh.
+that inspected the match first.  The rule's probe (rule_prober) is the
+same loop nest counting the match as an application, without the
+rewrite; the control tests `if` conditions with it.  Each function is
+compiled on its first use, and validate_rule drops all three, so an
+edited rule is compiled afresh.
+
+The rewrite does no work the search has done.  The search keeps each
+matched edge's record, each bound node's record and each adjacency list
+it tested (adjacency first, below) in a local, and the rewrite reads
+them there rather than from the stores.  An edge the rewrite creates
+takes the record of an edge it deleted and sets only the fields that
+differ, so an edge that keeps its endpoints, label and mark (as in the
+BST descent, which moves a root along a tree edge) costs no record and
+no field write; a record is built only for the edges beyond the deleted
+ones.  Edge ids, the journal and the counters are as if every edge were
+new.
 
 A loop over a rule or a rule set (`r!`, `{r1, ..., rk}!`) is compiled
 into one more function, its loop function (fused_loop): one `while` that
@@ -80,6 +94,7 @@ from .errors import DivergenceError, ValidationError
 from .hostgraph import EDGE_MARKS, NODE_MARKS, EdgeRec, HostGraph, NodeRec
 from .labels import (
     AndC, ArithT, CmpC, DegT, IntT, LabelPattern, NotC, OrC, VarT, cond_refs,
+    operands,
 )
 # Not called here (compiled rules do this work inline); perfbench/tracing.py
 # wraps these three names in this module's namespace.
@@ -124,6 +139,7 @@ class Rule:
     # Compiled from the above on first use; validate_rule resets them.
     matcher: object = field(default=None, compare=False, repr=False)
     applier: object = field(default=None, compare=False, repr=False)
+    prober: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -328,7 +344,7 @@ def validate_rule(rule: Rule) -> list:
         warnings.append(f"rule {rule.name}: no rooted node in left-hand side")
 
     rule.plan = _build_plan(rule)
-    rule.matcher = rule.applier = None
+    rule.matcher = rule.applier = rule.prober = None
     return warnings
 
 
@@ -404,13 +420,7 @@ def _schedule(rule: Rule) -> tuple:
     component and the conjunct refers to no variable or node that anchor
     binds: failing, it then rejects every candidate of that anchor, which
     the search skips and counts at once."""
-    conjuncts, stack = [], [rule.cond] if rule.cond is not None else []
-    while stack:
-        c = stack.pop()
-        if type(c) is AndC:
-            stack += (c.right, c.left)
-        else:
-            conjuncts.append(c)
+    conjuncts = operands(rule.cond, AndC) if rule.cond is not None else []
     plan = rule.plan
     if len(plan) < 2 or plan[-1][0] != "anchor":
         return [], conjuncts
@@ -457,6 +467,10 @@ class _Codegen:
     function's hoisted lists through hoisted_anchor.  Each keeps the
     counter contract: a candidate a step reads counts once, whether it is
     probed, skipped in a hoisted list or rejected with all its siblings.
+
+    The search names what it reads after the host node or edge it read it
+    for: node n<k> has its record in r<k> and its tested list in o<k> or
+    i<k>, and edge e<k> its record in q<k>; body() rewrites from these.
     """
 
     def __init__(self):
@@ -477,6 +491,8 @@ class _Codegen:
         self.vars = {}         # variable name -> (local, kind of its binding slot)
         self.nodes = {}        # pid -> (local, pattern node)
         self.edges = []        # (lhs edge index, local, pattern edge)
+        self.recs = {}         # pid -> local holding its host node's record
+        self.adjs = {}         # (store, pid) -> local holding that list
         self.early, self.late = _schedule(rule)
 
     def emit(self, line: str) -> None:
@@ -507,7 +523,8 @@ class _Codegen:
     def search(self, rule: Rule, name: str) -> None:
         """The plan's loop nest as function `name`: "match" returns a Match
         or None, "apply" rewrites the graph at the first match and returns
-        whether there was one."""
+        whether there was one, and "probe" returns whether there is one,
+        counting it as an application, without rewriting."""
         self.use(rule)
         self.name = name
         self.miss = "None" if name == "match" else "False"
@@ -844,6 +861,9 @@ class _Codegen:
         live += self.sources.values()
         live += [local for local, _ in self.nodes.values()]
         live += [local for _, local, _ in self.edges]
+        live += [_edge_rec(local) for _, local, _ in self.edges]
+        live += self.recs.values()
+        live += self.adjs.values()
         live += [local for local, _ in self.vars.values()]
         name = f"{self.name}_cont{len(self.stack)}"
         args = ", ".join(live)
@@ -886,63 +906,79 @@ class _Codegen:
     def extend(self, eidx: int, known, new, use_out: bool) -> None:
         pe = self.rule.lhs.edges[eidx]
         e = f"e{len(self.edges)}"
-        adj = "out_adj" if use_out else "in_adj"
-        self.loop(e, f"{adj}[{self.nodes[known][0]}]", "nx")
+        q = _edge_rec(e)
+        self.loop(e, self.adj("out_adj" if use_out else "in_adj", known), "nx")
         # A bound edge with another pattern node at this end has another
         # host node there, so it is another edge.
         self.test_unused(e, [local for _, local, other in self.edges
                              if (other.src if use_out else other.tgt) == known])
-        self.emit(f"r = edges[{e}]")
-        self.test_edge(pe)
+        self.emit(f"{q} = edges[{e}]")
+        self.test_edge(pe, q)
         local = f"n{len(self.nodes)}"
-        self.emit(f"{local} = r.{'tgt' if use_out else 'src'}")
+        self.emit(f"{local} = {q}.{'tgt' if use_out else 'src'}")
         self.bind_node(new, local, test_root=True, test_mark=True)
         self.edges.append((eidx, e, pe))
 
     def close(self, eidx: int) -> None:
         pe = self.rule.lhs.edges[eidx]
         e = f"e{len(self.edges)}"
-        self.loop(e, f"out_adj[{self.nodes[pe.src][0]}]", "nx")
+        q = _edge_rec(e)
+        self.loop(e, self.adj("out_adj", pe.src), "nx")
         self.test_unused(e, [local for _, local, other in self.edges
                              if other.src == pe.src])
-        self.emit(f"r = edges[{e}]")
-        self.emit(f"if r.tgt != {self.nodes[pe.tgt][0]}: {self.fail}")
-        self.test_edge(pe)
+        self.emit(f"{q} = edges[{e}]")
+        self.emit(f"if {q}.tgt != {self.nodes[pe.tgt][0]}: {self.fail}")
+        self.test_edge(pe, q)
         self.edges.append((eidx, e, pe))
+
+    def adj(self, store: str, pid) -> str:
+        """The list `store` of the host node bound to `pid`: the local the
+        search read it into, or a read of the store."""
+        return self.adjs.get((store, pid)) or f"{store}[{self.nodes[pid][0]}]"
 
     def test_unused(self, local: str, bound: list) -> None:
         if bound:
             self.emit(f"if {local} in ({', '.join(bound)},): {self.fail}")
 
-    def test_mark(self, mark) -> None:
+    def test_mark(self, mark, rec: str) -> None:
         if mark == "any":
-            self.emit(f"if r.mark == 'none': {self.fail}")
+            self.emit(f"if {rec}.mark == 'none': {self.fail}")
         else:
-            self.emit(f"if r.mark != {self.lit(mark)}: {self.fail}")
+            self.emit(f"if {rec}.mark != {self.lit(mark)}: {self.fail}")
 
-    def test_edge(self, pe: PatternEdge) -> None:
-        self.test_mark(pe.mark)
-        self.emit("lab = r.label")
+    def test_edge(self, pe: PatternEdge, rec: str) -> None:
+        self.test_mark(pe.mark, rec)
+        self.emit(f"lab = {rec}.label")
         self.unify(pe.label)
 
     def bind_node(self, pid, local: str, test_root: bool, test_mark: bool) -> None:
+        """Test the host node `local` against pattern node `pid`, keeping
+        its record, and the list the next step loops over, in locals named
+        after it (r<k>, o<k> or i<k> for n<k>) for the later steps and the
+        rewrite.  The list goes into its local only once the node has
+        passed, so a rejected node costs no more than the test."""
         pn = self.rule.lhs.nodes[pid]
+        k = local[1:]
         adj = self.next_adjacency(pid)
         if adj:
             # The next step loops over this list: when it is empty, that
             # loop counts nothing and matches nothing.
             self.emit(f"if not {adj}[{local}]: {self.fail}")
-        self.emit(f"r = nodes[{local}]")
+        rec = self.recs[pid] = f"r{k}"
+        self.emit(f"{rec} = nodes[{local}]")
         if test_root:
-            self.emit(f"if r.rooted != {self.lit(pn.rooted)}: {self.fail}")
+            self.emit(f"if {rec}.rooted != {self.lit(pn.rooted)}: {self.fail}")
         if test_mark:
-            self.test_mark(pn.mark)
+            self.test_mark(pn.mark, rec)
         # The host node passed pn's root and mark tests; a node bound to a
         # pattern node that no host node passes together with pn is another.
         self.test_unused(local, [other for other, opn in self.nodes.values()
                                  if _may_share(opn, pn)])
-        self.emit("lab = r.label")
+        self.emit(f"lab = {rec}.label")
         self.unify(pn.label)
+        if adj:
+            lst = self.adjs[adj, pid] = f"{adj[0]}{k}"
+            self.emit(f"{lst} = {adj}[{local}]")
         self.nodes[pid] = (local, pn)
 
     def next_adjacency(self, pid) -> Optional[str]:
@@ -1019,21 +1055,21 @@ class _Codegen:
         # Matched edges are distinct, so a deleted node has no unmatched
         # incident edge iff its degrees equal its matched edge counts.
         for pid in self.deleted:
-            local = self.nodes[pid][0]
             n_in = sum(1 for pe in rule.lhs.edges if pe.tgt == pid)
             n_out = sum(1 for pe in rule.lhs.edges if pe.src == pid)
-            self.emit(f"if len(in_adj[{local}]) != {n_in} or "
-                      f"len(out_adj[{local}]) != {n_out}: {self.fail}")
+            self.emit(f"if len({self.adj('in_adj', pid)}) != {n_in} or "
+                      f"len({self.adj('out_adj', pid)}) != {n_out}: {self.fail}")
         if self.name == "loop":
             self.emit("break")
             return
         self.emit("stats.matches_found += 1")
-        if self.name == "apply":
-            body = self.body()
-            if self.journaled:
-                # Only the base frame open: its entries would be discarded.
-                body[:0] = ["fr = g._frames", "j = fr[-1][0] if len(fr) > 1 else []"]
-            self.emit_lines(body)
+        if self.name != "match":
+            if self.name == "apply":
+                body = self.body()
+                if self.journaled:
+                    # Only the base frame open: its entries would be discarded.
+                    body[:0] = ["fr = g._frames", "j = fr[-1][0] if len(fr) > 1 else []"]
+                self.emit_lines(body)
             self.emit("stats.applications += 1")
             self.emit("by_rule = stats.by_rule")
             name = self.lit(rule.name)
@@ -1065,10 +1101,10 @@ class _Codegen:
                     return "False"    # a non-int binding fails the comparison
             test = f"{self.term(c.left)} {_PY_CMP[c.op]} {self.term(c.right)}"
             return "(" + " and ".join(sorted(guards) + [test]) + ")"
-        if k is AndC:
-            return f"({self.cond(c.left)} and {self.cond(c.right)})"
-        if k is OrC:
-            return f"({self.cond(c.left)} or {self.cond(c.right)})"
+        if k is AndC or k is OrC:
+            # One flat expression for a chain of any length.
+            op = " and " if k is AndC else " or "
+            return f"({op.join(self.cond(x) for x in operands(c, k))})"
         if k is NotC:
             return f"(not {self.cond(c.inner)})"
         raise TypeError(f"not a condition: {c!r}")
@@ -1083,8 +1119,7 @@ class _Codegen:
             op = "+" if t.op == "+" else "-"
             return f"({self.term(t.left)} {op} {self.term(t.right)})"
         if k is DegT:
-            adj = "out_adj" if t.fn == "outdeg" else "in_adj"
-            return f"len({adj}[{self.nodes[t.pid][0]}])"
+            return f"len({self.adj('out_adj' if t.fn == 'outdeg' else 'in_adj', t.pid)})"
         raise TypeError(f"not a term: {t!r}")
 
     # -- rewrite --------------------------------------------------------------
@@ -1098,6 +1133,13 @@ class _Codegen:
         and journals into `j` exactly what the HostGraph mutators would.
         Roots and marks the lhs fixes are not tested again; a remarked root
         goes through set_mark, which refiles the root registries.
+
+        It reads no record or list the search kept in a local: a matched
+        edge's record, a bound node's record and the list adjacency-first
+        tested.  A list it reads twice otherwise goes into a local at the
+        first read.  An rhs edge takes the record of a deleted lhs edge,
+        when one is left, setting only the fields that differ (reused);
+        only the rhs edges beyond the deleted ones get new records.
         """
         rule = self.rule
         lhs, rhs = rule.lhs, rule.rhs
@@ -1106,31 +1148,44 @@ class _Codegen:
         self.depth = 0
         self.journaled = False
         self.refiled = False
+        imgs = {pid: self.nodes[pid][0] for pid in sorted(rule.interface)}
+        for pid in sorted(set(rhs.nodes) - rule.interface):
+            imgs[pid] = f"h{len(imgs)}"
+        # Each host adjacency list the rewrite touches: how often, and the
+        # local holding it, if any.
+        self.lists = {(store, self.nodes[pid][0]): local
+                      for (store, pid), local in self.adjs.items()}
+        self.uses = {}
+        ends = [(self.nodes[pe.src][0], self.nodes[pe.tgt][0]) for _, _, pe in self.edges]
+        ends += [(imgs[pe.src], imgs[pe.tgt]) for pe in rhs.edges]
+        for src, tgt in ends:
+            for key in (("out_adj", src), ("in_adj", tgt)):
+                self.uses[key] = self.uses.get(key, 0) + 1
         for _, e, pe in self.edges:
             src, tgt = self.nodes[pe.src][0], self.nodes[pe.tgt][0]
-            self.emit(f"r = edges.pop({e})")
-            self.record(f"'-e', {e}, {src}, {tgt}, r.label, {self.known_mark(pe.mark)}")
-            self.emit(f"out_adj[{src}].remove({e})")
-            self.emit(f"in_adj[{tgt}].remove({e})")
+            q = _edge_rec(e)
+            self.emit(f"del edges[{e}]")
+            self.record(f"'-e', {e}, {src}, {tgt}, {q}.label, {self.known_mark(pe.mark, q)}")
+            self.emit(f"{self.adj_list('out_adj', src)}.remove({e})")
+            self.emit(f"{self.adj_list('in_adj', tgt)}.remove({e})")
         for pid in self.deleted:
             pn = lhs.nodes[pid]
             h = self.nodes[pid][0]
-            mark = self.known_mark(pn.mark)
-            self.emit(f"r = nodes.pop({h})")
-            self.record(f"'-n', {h}, r.label, {mark}, {self.lit(pn.rooted)}, r.root_seq")
+            rec = self.node_rec(pid, pop=True)
+            mark = self.known_mark(pn.mark, rec)
+            self.record(f"'-n', {h}, {rec}.label, {mark}, {self.lit(pn.rooted)}, "
+                        f"{rec}.root_seq")
             self.emit(f"del out_adj[{h}]")
             self.emit(f"del in_adj[{h}]")
             if pn.rooted:
-                self.emit(f"del {self.registry(pn.mark)}[{h}]")
+                self.emit(f"del {self.registry(pn.mark, rec)}[{h}]")
             if pn.mark != "none":
                 self.emit(f"g._by_mark[{mark}].discard({h})")
-        imgs = {}
         for pid in sorted(rule.interface):
-            imgs[pid] = self.nodes[pid][0]
-            self.update_node(imgs[pid], lhs.nodes[pid], rhs.nodes[pid])
+            self.update_node(pid, lhs.nodes[pid], rhs.nodes[pid])
         for pid in sorted(set(rhs.nodes) - rule.interface):
             rn = rhs.nodes[pid]
-            h = imgs[pid] = f"h{len(imgs)}"
+            h = imgs[pid]
             mark = self.lit(rn.mark)
             self.emit(f"{h} = g._next_node")
             self.emit(f"g._next_node = {h} + 1")
@@ -1138,87 +1193,149 @@ class _Codegen:
                 self.next_root_seq()
             self.emit(f"nodes[{h}] = NodeRec({self.build(rn.label)}, {mark}, "
                       f"{self.lit(rn.rooted)}, {'s' if rn.rooted else 0})")
-            self.emit(f"out_adj[{h}] = []")
-            self.emit(f"in_adj[{h}] = []")
+            self.emit(f"{self.adj_list('out_adj', h, new=True)} = []")
+            self.emit(f"{self.adj_list('in_adj', h, new=True)} = []")
             if rn.rooted:
-                self.emit(f"{self.registry(rn.mark)}[{h}] = None")
+                self.emit(f"{self.registry(rn.mark, None)}[{h}] = None")
             if rn.mark != "none":
                 self.emit(f"g._by_mark[{mark}].add({h})")
             self.record(f"'+n', {h}")
         # A new edge id is the largest, so appending keeps adjacency sorted.
-        for pe in rhs.edges:
+        reused = self.reused()
+        for i, pe in enumerate(rhs.edges):
             src, tgt = imgs[pe.src], imgs[pe.tgt]
             self.emit("x = g._next_edge")
             self.emit("g._next_edge = x + 1")
-            self.emit(f"edges[x] = EdgeRec({src}, {tgt}, {self.build(pe.label)}, "
-                      f"{self.lit(pe.mark)})")
-            self.emit(f"out_adj[{src}].append(x)")
-            self.emit(f"in_adj[{tgt}].append(x)")
+            if i in reused:
+                q, fields = reused[i]
+                values = {"src": src, "tgt": tgt, "label": self.build(pe.label),
+                          "mark": self.lit(pe.mark)}
+                for name in fields:
+                    self.emit(f"{q}.{name} = {values[name]}")
+                self.emit(f"edges[x] = {q}")
+            else:
+                self.emit(f"edges[x] = EdgeRec({src}, {tgt}, {self.build(pe.label)}, "
+                          f"{self.lit(pe.mark)})")
+            self.emit(f"{self.adj_list('out_adj', src)}.append(x)")
+            self.emit(f"{self.adj_list('in_adj', tgt)}.append(x)")
             self.record("'+e', x")
         body = self.lines
         self.lines, self.depth = outer
         return body
 
-    def update_node(self, h: str, ln: PatternNode, rn: PatternNode) -> None:
+    def reused(self) -> dict:
+        """rhs edge index -> (local of the deleted edge record it takes,
+        the fields to set on it).  Pairs needing fewer fields go first: an
+        rhs edge with the endpoints, label and mark of a deleted lhs edge
+        takes its record as it is.  Each record goes to one rhs edge."""
+        iface = self.rule.interface
+        pairs = []
+        for i, pe in enumerate(self.rule.rhs.edges):
+            for k, (_, e, le) in enumerate(self.edges):
+                fields = [name for name, same in (
+                    ("src", le.src == pe.src and pe.src in iface),
+                    ("tgt", le.tgt == pe.tgt and pe.tgt in iface),
+                    ("label", le.label == pe.label),
+                    ("mark", le.mark == pe.mark)) if not same]
+                pairs.append((len(fields), i, k, _edge_rec(e), fields))
+        reused, taken = {}, set()
+        for _, i, k, q, fields in sorted(pairs, key=lambda t: t[:3]):
+            if i not in reused and k not in taken:
+                reused[i] = (q, fields)
+                taken.add(k)
+        return reused
+
+    def adj_list(self, store: str, h: str, new: bool = False) -> str:
+        """The rewrite's expression for list `store[h]`: the local holding
+        it, or a read of the store, kept in a local (o<h> or i<h>) at the
+        first read when the rewrite reads it again.  `new` stores a new
+        node's list."""
+        key = (store, h)
+        local = self.lists.get(key)
+        if local is not None:
+            return local
+        if self.uses.get(key, 0) + new < 2:
+            return f"{store}[{h}]"
+        local = self.lists[key] = f"{store[0]}{h}"
+        if new:
+            return f"{local} = {store}[{h}]"
+        self.emit(f"{local} = {store}[{h}]")
+        return local
+
+    def node_rec(self, pid, pop: bool = False) -> str:
+        """The local holding the record of the host node bound to `pid`,
+        reading it (into `r`) unless the search kept it; `pop` also deletes
+        it from the node store."""
+        h = self.nodes[pid][0]
+        rec = self.recs.get(pid)
+        if rec is None:
+            self.emit(f"r = nodes.pop({h})" if pop else f"r = nodes[{h}]")
+            return "r"
+        if pop:
+            self.emit(f"del nodes[{h}]")
+        return rec
+
+    def update_node(self, pid, ln: PatternNode, rn: PatternNode) -> None:
         """Relabel, remark and reroot one interface node, in that order."""
         relabel = rn.label != ln.label
         remark = rn.mark not in ("any", ln.mark)
         reroot = rn.rooted != ln.rooted
         if not (relabel or remark or reroot):
             return
-        self.emit(f"r = nodes[{h}]")
+        h = self.nodes[pid][0]
+        r = self.node_rec(pid)
         if relabel:
             self.emit(f"lab = {self.build(rn.label)}")
-            self.emit("if lab != r.label:")
+            self.emit(f"if lab != {r}.label:")
             self.depth += 1
-            self.record(f"'lb', {h}, r.label")
-            self.emit("r.label = lab")
+            self.record(f"'lb', {h}, {r}.label")
+            self.emit(f"{r}.label = lab")
             self.depth -= 1
         mark = ln.mark
         if remark:
             new = self.lit(rn.mark)
             if ln.mark == "any":
-                self.emit(f"if r.mark != {new}:")
+                self.emit(f"if {r}.mark != {new}:")
                 self.depth += 1
             if ln.rooted:
                 self.emit(f"g.set_mark({h}, {new})")
                 self.refiled = True
             else:
-                old = self.known_mark(ln.mark)
+                old = self.known_mark(ln.mark, r)
                 self.record(f"'mk', {h}, {old}")
                 if ln.mark != "none":
                     self.emit(f"g._by_mark[{old}].discard({h})")
-                self.emit(f"r.mark = {new}")
+                self.emit(f"{r}.mark = {new}")
                 if rn.mark != "none":
                     self.emit(f"g._by_mark[{new}].add({h})")
             if ln.mark == "any":
                 self.depth -= 1
             mark = rn.mark
         if reroot:
-            registry = self.registry(mark)
+            registry = self.registry(mark, r)
             if rn.rooted:
-                self.record(f"'rt', {h}, False, r.root_seq")
+                self.record(f"'rt', {h}, False, {r}.root_seq")
                 self.next_root_seq()
-                self.emit("r.rooted = True")
-                self.emit("r.root_seq = s")
+                self.emit(f"{r}.rooted = True")
+                self.emit(f"{r}.root_seq = s")
                 self.emit(f"{registry}[{h}] = None")
             else:
-                self.record(f"'rt', {h}, True, r.root_seq")
-                self.emit("r.rooted = False")
-                self.emit("r.root_seq = 0")
+                self.record(f"'rt', {h}, True, {r}.root_seq")
+                self.emit(f"{r}.rooted = False")
+                self.emit(f"{r}.root_seq = 0")
                 self.emit(f"del {registry}[{h}]")
 
-    def registry(self, mark: str) -> str:
-        """The root registry of the lhs or rhs mark `mark` of record `r`:
+    def registry(self, mark: str, rec: Optional[str]) -> str:
+        """The root registry of the lhs or rhs mark `mark` of record `rec`:
         a loop function's local for it until the rewrite refiles."""
         local = self.registries.get(("roots", mark))
         if local is not None and not self.refiled:
             return local
-        return f"g._roots[{self.known_mark(mark)}]"
+        return f"g._roots[{self.known_mark(mark, rec)}]"
 
-    def known_mark(self, mark: str) -> str:
-        """The mark of record `r`: a literal unless the lhs left it open."""
-        return "r.mark" if mark == "any" else self.lit(mark)
+    def known_mark(self, mark: str, rec: Optional[str]) -> str:
+        """The mark of record `rec`: a literal unless the lhs left it open."""
+        return f"{rec}.mark" if mark == "any" else self.lit(mark)
 
     def record(self, entry: str) -> None:
         self.emit(f"j.append(({entry}))")
@@ -1242,8 +1359,14 @@ class _Codegen:
         return f"({', '.join(parts)})"
 
 
+def _edge_rec(e: str) -> str:
+    """The local holding the record of the host edge in local `e`."""
+    return "q" + e[1:]
+
+
 def _compile(rule: Rule, name: str):
-    """Compile the rule's "match" or "apply" function and return it."""
+    """Compile the rule's "match", "apply" or "probe" function and return
+    it."""
     gen = _Codegen()
     gen.search(rule, name)
     return gen.compiled(name, f"<rule {rule.name!r}>")
@@ -1275,6 +1398,16 @@ def fused_applier(rule: Rule):
     if rule.applier is None:
         rule.applier = _compile(rule, "apply")
     return rule.applier
+
+
+def rule_prober(rule: Rule):
+    """The rule's probe, `probe(g, stats) -> bool`, compiled on first use:
+    its search, counted as the fused application counts it, without the
+    rewrite.  It tells whether the rule applies, as applying it inside a
+    scope that is then rolled back would."""
+    if rule.prober is None:
+        rule.prober = _compile(rule, "probe")
+    return rule.prober
 
 
 def apply_rule(rule: Rule, g: HostGraph, stats: MatchStats) -> bool:

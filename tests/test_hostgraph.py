@@ -299,3 +299,20 @@ def test_journal_and_registries_fuzz(steps):
         assert g.state() == snap
         g.check_registries()
         _check_recency(g)
+
+
+def test_check_registries_rejects_shared_edge_records():
+    g = HostGraph()
+    a = g.add_node((1,))
+    b = g.add_node((2,))
+    e1 = g.add_edge(a, b)
+    e2 = g.add_edge(b, a)
+    g.check_registries()
+    g.edges[e2] = g.edges[e1]
+    g.edges[e2].src, g.edges[e2].tgt = a, b
+    g.out_adj[b].remove(e2)
+    g.out_adj[a].append(e2)
+    g.in_adj[a].remove(e2)
+    g.in_adj[b].append(e2)
+    with pytest.raises(GraphError, match="edge records shared"):
+        g.check_registries()

@@ -4,10 +4,15 @@ import sys
 
 import pytest
 
-from matchref import plant_lhs, random_rule, reference_run
-from rootedgp.bench import build_degenerate_graph, measured_ops, run_measured
+from matchref import (
+    brute_force_exists, plant_lhs, random_rule, reference_run, reference_search,
+)
+from rootedgp.bench import (
+    append_instructions, build_degenerate_graph, measured_ops, measurement_program,
+    run_measured,
+)
 from rootedgp.errors import DivergenceError, ValidationError
-from rootedgp.hostgraph import HostGraph
+from rootedgp.hostgraph import EdgeRec, HostGraph
 from rootedgp.interp import (
     BREAK, DEFAULT_MAX_ITERS, FAIL, MAX_NESTING, SKIP, Call, If, Loop, Program,
     RuleSet, Seq, Status, Try, _Codegen, run, validate_program,
@@ -224,10 +229,27 @@ class TestCompiledControl:
         assert control[2][0].function is not loop
         assert sorted(rec.label for rec in g.nodes.values()) == [(5,), (6,)]
 
-    @pytest.mark.parametrize("op, scopes", [("insert", 2), ("search", 1), ("delete", 3)])
+    def test_revalidated_if_condition_is_probed_by_fresh_code(self):
+        p = prog_of(Main=Seq((Call("add"), If(Call("bump"), Call("add"), SKIP))))
+        g = HostGraph()
+        run(p, g)
+        assert sorted(rec.label for rec in g.nodes.values()) == [(1,), (1,)]
+        bump = p.rules["bump"]
+        assert bump.prober is not None
+        fresh = parse_rule("bump() [ (1, 2) | ] => [ (1, 5) | ] interface = {1}")
+        bump.lhs, bump.rhs = fresh.lhs, fresh.rhs
+        validate_rule(bump)
+        assert bump.prober is None
+        stats = MatchStats()
+        run(p, g, stats=stats)
+        assert sorted(rec.label for rec in g.nodes.values()) == [(1,), (1,), (1,)]
+        assert stats.by_rule == {"add": 1}
+
+    @pytest.mark.parametrize("op, scopes", [("insert", 1), ("search", 1), ("delete", 2)])
     def test_chain_op_opens_as_many_scopes_at_any_length(self, monkeypatch, op, scopes):
-        # Only the main loop's iteration, an if condition and a try whose
-        # condition is a procedure open a scope; the descent opens none.
+        # Only the main loop's iteration and a try whose condition is a
+        # procedure open a scope; `if match` is probed, and the descent
+        # opens none.
         opened = []
         begin = HostGraph.begin_scope
 
@@ -242,6 +264,29 @@ class TestCompiledControl:
                                             measured_ops("degenerate", n, op))
             assert status is Status.SUCCESS and stats.applications > n
             assert len(opened) == scopes, n
+
+    @pytest.mark.parametrize("op, records", [("insert", 1), ("search", 1), ("delete", 0)])
+    def test_chain_op_constructs_no_record_per_step(self, monkeypatch, op, records):
+        # Each descent step hands the tree edge it deletes to the edge it
+        # creates; only add_leaf's and match's new edges are built.
+        built = []
+        init = EdgeRec.__init__
+
+        def counting_init(rec, *args):
+            built.append(1)
+            init(rec, *args)
+
+        program = measurement_program("sanitized")
+        for n in (100, 1000):
+            g = append_instructions(build_degenerate_graph(n), measured_ops("degenerate", n, op))
+            monkeypatch.setattr(EdgeRec, "__init__", counting_init)
+            del built[:]
+            stats = MatchStats()
+            assert run(program, g, stats=stats) is Status.SUCCESS
+            monkeypatch.undo()
+            assert stats.applications > n
+            assert len(built) == records, n
+            g.check_registries()
 
     @pytest.mark.parametrize("op", ["insert", "search", "delete"])
     def test_chain_op_makes_as_many_compiled_calls_at_any_length(self, op):
@@ -610,6 +655,42 @@ class TestCallChains:
         del procs[f"Q{MAX_NESTING - 1}"]
         procs[f"Q{MAX_NESTING - 2}"] = Call("P")
         assert _agree(_consume_program(procs), _host(2))[0] is Status.SUCCESS
+
+
+def test_call_chain_through_nested_conditions_runs():
+    # Each procedure calls the next inside three nested try conditions,
+    # two of which run in helper functions: three frames per call.
+    procs = {"Main": Call("P1"), f"P{MAX_NESTING}": Call("consume")}
+    for i in range(1, MAX_NESTING):
+        cmd = Call(f"P{i + 1}")
+        for _ in range(3):
+            cmd = Try(cmd, SKIP, SKIP)
+        procs[f"P{i}"] = cmd
+    p = _consume_program(procs)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 10 * MAX_NESTING)   # the tree walker's frames
+    try:
+        want = _outcome(reference_run, p, _host(2), DEFAULT_MAX_ITERS)
+    finally:
+        sys.setrecursionlimit(limit)
+    got = _outcome(run, p, _host(2), DEFAULT_MAX_ITERS)
+    assert got == want and got[:2] == (Status.SUCCESS, ["consume"])
+    assert sys.getrecursionlimit() == limit
+
+
+def test_long_or_chain_compiles_and_agrees_with_the_reference():
+    terms = " or ".join(f"x = {k}" for k in range(3000))
+    p = parse_program(f'Main = r\nr(x:int) [ (1, x) | ] => [ (1, "done") | ] '
+                      f"interface = {{1}} where {terms}")
+    rule = p.rules["r"]
+    for label, applies in ((0, True), (2999, True), (3000, False), (-1, False)):
+        g = HostGraph()
+        g.add_node((label,))
+        assert brute_force_exists(rule, g) is applies
+        assert (reference_search(rule, g)[0] is not None) is applies
+        result, trace, _, _ = _agree(p, g)
+        assert result is (Status.SUCCESS if applies else Status.FAILURE)
+        assert trace == ["r"] * applies
 
 
 def test_procedure_chain_compiles_to_linear_source():

@@ -515,6 +515,53 @@ class TestCompiledRewrite:
         assert applied > 1000
 
 
+# Rules whose rhs edges take the records of deleted lhs edges: same pids
+# on a node that is deleted and created again, reversed and reordered
+# edges, self-loops, new labels and marks, and more rhs than lhs edges.
+_REUSE_RULES = [
+    "r(x:int) [ (1, x) (2, 2) | (e1, 1, 2, empty) ] => "
+    "[ (1, x) (2, 2) | (e1, 1, 2, empty) ] interface = {1}",
+    "r(x:int) [ (1, x) (2, 2) | (e1, 1, 2, empty) ] => "
+    "[ (1, x) (2, 2) | (e1, 2, 1, empty) ] interface = {1, 2}",
+    "r(x,y:int) [ (1, x) (2, y) (3, 3) | (e1, 1, 2, empty) (e2, 2, 3, y) ] => "
+    "[ (1, x) (2, y) (3, 3) | (e1, 2, 3, y) (e2, 1, 2, empty) ] interface = {1, 2, 3}",
+    "r(x:int; s:list) [ (1, x) | (e1, 1, 1, s) ] => "
+    "[ (1, x) | (e1, 1, 1, s) (e2, 1, 1, s:x) ] interface = {1}",
+    "r(x:int) [ (1, x) (2, 2) | (e1, 1, 2, empty #any) ] => "
+    "[ (1, x) (2, 2) (3, 3) | (e1, 1, 3, empty #red) (e2, 3, 2, x) (e3, 2, 1, empty) ] "
+    "interface = {1, 2}",
+    "r(x:int) [ (1, x) (2, 2) (3, 3) | (e1, 1, 2, empty) (e2, 3, 1, x #red) ] => "
+    "[ (1, x) (3, 3) | (e1, 3, 1, x #red) ] interface = {1, 3}",
+]
+
+
+class TestReusedEdgeRecords:
+    @pytest.mark.parametrize("text", _REUSE_RULES)
+    def test_agrees_with_reference_rewrite(self, text):
+        rule = parse_rule(text)
+        rng = random.Random(4040)
+        applied = 0
+        for _ in range(60):
+            host = random_host(rng)
+            plant_lhs(rng, rule, host)
+            outcomes = []
+            for way in (apply_rule, _apply_reference):
+                g = host.clone()
+                token = g.begin_scope()
+                stats = MatchStats()
+                result = way(rule, g, stats)
+                g.check_registries()
+                outcomes.append((result, g.state(), list(g._frames[-1][0]),
+                                 [list(reg) for reg in g._roots.values()],
+                                 _counters(stats)))
+                g.rollback_scope(token)
+                g.check_registries()
+                assert g.state() == host.state()
+            assert outcomes[0] == outcomes[1]
+            applied += outcomes[0][0]
+        assert applied >= 30
+
+
 def _loop_outcome(loop, members, host, max_iters):
     """A loop over `members` run by `loop` on a copy of `host` inside a
     scope, which rolling back must undo: result, trace, counters, state."""
