@@ -173,9 +173,9 @@ def measure(shape: str, sizes, reps: int = 300,
         raise ValueError("need reps >= 1")
     rows = []
     ops_per_shape = DEGENERATE_OPS if shape == "degenerate" else ("triple",)
-    # A program's control, its loop functions and its rules are compiled
-    # by its first run; run it once on a throwaway graph, so no timed run
-    # pays for compiling.
+    # A program's first run compiles its control together with the
+    # appliers, probes and loop functions the control calls; run it once
+    # on a throwaway graph, so no timed run pays for compiling.
     run(measurement_program(variant), HostGraph())
     for size in sizes:
         base = _base_graph(shape, size)

@@ -18,10 +18,11 @@ each command a run of statements that falls through on success and jumps
 on failure or break, each rule call a direct call of the rule's fused
 applier, and each loop over a rule or a rule set one call of its loop
 function (rules.fused_loop), which makes all of that loop's iterations.
-Each run passes in the appliers, the probes and the loop functions
-afresh, a loop function compiled again when a member's applier was, so a
-revalidated rule is applied by its new code; validate_program drops the
-compiled control.  Commands nest at most MAX_NESTING deep in a procedure body;
+The control is compiled in one step (_compile) with exactly the rule code
+it calls: appliers, probes and loop functions.  A run compiles afresh
+when one of those rules was revalidated since, so a revalidated rule is
+applied by its new code; validate_program drops the compiled program.
+Commands nest at most MAX_NESTING deep in a procedure body, and
 validate_program rejects deeper nesting.
 
 Scopes are opened only where they change the outcome.  A loop body or a
@@ -141,7 +142,7 @@ class Program:
     rules: dict               # name -> Rule
     procs: dict               # name -> Command
     warnings: list = None
-    # Compiled by the first run; validate_program resets it.
+    # Compiled by the first run (see _compile); validate_program resets it.
     compiled: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
@@ -260,23 +261,18 @@ def run(
     """
     if stats is None:
         stats = MatchStats()
-    if program.compiled is None:
-        program.compiled = _compile(program)
-    names, control, loops, probed, frames = program.compiled
-    rules = program.rules
-    # Read at every run, so a rule revalidated since is applied by its
-    # fresh code.
-    appliers = [fused_applier(rules[name]) for name in names]
-    probes = [rule_prober(rules[name]) for name in probed]
-    functions = [loop.current(rules) for loop in loops]
+    compiled, rules = program.compiled, program.rules
+    # validate_rule gives a rule a new plan.
+    if compiled is None or any(rules[n].plan is not p for n, p in compiled[0]):
+        compiled = program.compiled = _compile(program)
+    _, control, functions, frames = compiled
     depth = len(g._frames)
     # A chain of procedure calls and condition helpers may run deeper
     # than the caller's recursion limit allows.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + frames)
     try:
-        status = control(g, stats, on_apply, max_iters, *appliers, *probes,
-                         *functions)
+        status = control(g, stats, on_apply, max_iters, *functions)
     except DivergenceError:
         while len(g._frames) > depth:
             g.commit_scope(len(g._frames) - 1)
@@ -294,45 +290,26 @@ def run(
 _MAX_DEPTH = 48
 
 
-class _LoopFunction:
-    """The compiled loop over one rule set (see rules.fused_loop).  It
-    inlines its members' code, so it is compiled afresh whenever one of
-    their fused appliers is."""
-
-    __slots__ = ("names", "appliers", "function")
-
-    def __init__(self, names: tuple):
-        self.names = names
-        self.appliers = None   # the members' appliers when compiled
-        self.function = None
-
-    def current(self, rules: dict):
-        """The function, compiled afresh if a member was revalidated."""
-        appliers = [fused_applier(rules[name]) for name in self.names]
-        if appliers != self.appliers:
-            self.function = fused_loop([rules[name] for name in self.names])
-            self.appliers = appliers
-        return self.function
-
-
 class _Codegen:
     """Source of one program's control.
 
-    The source is one function, `control(g, stats, tr, max_iters, a0, ...,
-    q0, ..., L0, ...)`, taking the rules' fused appliers in the order of
-    `program.rules`, the probes of the rules in `self.probes`, then the loop
-    functions in the order of `self.bodies`.  It defines one nested
-    function per procedure and per helper, each returning a Status, and
-    returns what Main's returns; `self.frames` is how many frames deep
-    its calls can nest, rules' own frames included.  A command is
-    emitted as statements that fall through on success and run the lines
-    of a `fail` or a `brk` handler otherwise; each handler ends in a jump
-    (`return`, or `break` out of the innermost loop's `while`).
+    The source is one function, `control(g, stats, tr, max_iters, a<i>,
+    ..., q0, ..., L0, ...)`, taking the fused appliers of the rules in
+    `self.appliers` (a<i> of the i-th rule of `program.rules`), the probes
+    of those in `self.probes`, then the loop functions in the order of
+    `self.bodies`.  It defines one nested function per procedure and per
+    helper, each returning a Status, and returns what Main's returns;
+    `self.frames` is how many frames deep its calls can nest, rules' own
+    frames included.  A command is emitted as statements that fall through
+    on success and run the lines of a `fail` or a `brk` handler otherwise;
+    each handler ends in a jump (`return`, or `break` out of the innermost
+    loop's `while`).
     """
 
     def __init__(self, program: Program):
         self.rules = {name: i for i, name in enumerate(program.rules)}
         self.procs = {name: f"p{i}" for i, name in enumerate(program.procs)}
+        self.appliers = {}     # rule called by the control -> its local
         self.bodies = {}       # members of a looped rule set -> its function
         self.probes = {}       # rule probed by an if condition -> its local
         self.funcs = []        # finished nested functions, as lines
@@ -343,7 +320,7 @@ class _Codegen:
         self.iterates, self.calls = False, set()
         for name, body in program.procs.items():
             self.function(self.procs[name], body)
-        params = "".join(f", a{i}" for i in range(len(self.rules)))
+        params = "".join(f", {a}" for a in self.appliers.values())
         params += "".join(f", {q}" for q in self.probes.values())
         params += "".join(f", {f}" for f in self.bodies.values())
         lines = [f"def control(g, stats, tr, max_iters{params}):", "    it = 0"]
@@ -424,31 +401,29 @@ class _Codegen:
         scope: committing its success changes nothing, and its failure
         has nothing to roll back."""
         kind = type(cmd)
-        names = self.members(cmd)
-        if names is None:
-            if kind is Fail or kind is Skip:
-                return repr(kind is Skip)
-            return None
-        return self.first_of(names, [f"a{self.rules[n]}" for n in names])
+        if kind is Fail or kind is Skip:
+            return repr(kind is Skip)
+        return self.first_of(cmd, self.appliers, lambda n: f"a{self.rules[n]}")
 
     def probe(self, cmd: Command) -> Optional[str]:
         """For a rule call or a rule set, an expression that is true iff it
         would succeed, counted and traced as running it is, changing
         nothing; None for other commands.  An if condition that is such a
         command opens no scope."""
+        return self.first_of(cmd, self.probes, lambda n: f"q{len(self.probes)}")
+
+    def first_of(self, cmd: Command, functions: dict, local) -> Optional[str]:
+        """For a rule call or a rule set, an expression calling the members'
+        `functions` (appliers or probes; a new member's is called `local(name)`)
+        in turn until one succeeds, reporting it; None for other commands."""
         names = self.members(cmd)
         if names is None:
             return None
         for n in names:
-            self.probes.setdefault(n, f"q{len(self.probes)}")
-        return self.first_of(names, [self.probes[n] for n in names])
-
-    @staticmethod
-    def first_of(names: tuple, functions: list) -> str:
-        """An expression calling `functions`, the appliers or probes of
-        the rules `names`, in turn until one succeeds, reporting it."""
-        test = " or ".join(f"({f}(g, stats) and (tr is None or tr({n!r}) or True))"
-                           for n, f in zip(names, functions))
+            functions.setdefault(n, local(n))
+        test = " or ".join(
+            f"({functions[n]}(g, stats) and (tr is None or tr({n!r}) or True))"
+            for n in names)
         return f"({test})" if len(names) > 1 else test
 
     def command(self, cmd: Command, fail: list, brk: list) -> None:
@@ -569,9 +544,9 @@ class _Codegen:
 
 
 def _compile(program: Program) -> tuple:
-    """(rule names, control function, loop functions, probed rule names,
-    frames) of the program's compiled control; the loop functions compile
-    on first use.  The control's calls nest at most `frames` deep."""
+    """(plans, control, the functions it takes after max_iters, frames): the
+    compiled control and the rule code it calls, compiled from the rules
+    and plans in `plans`; the control's calls nest at most `frames` deep."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + _FRAMES_PER_LEVEL * MAX_NESTING)
     try:
@@ -581,6 +556,10 @@ def _compile(program: Program) -> tuple:
     ns = {"S": Status.SUCCESS, "F": Status.FAILURE, "B": Status.BREAK,
           "DivergenceError": DivergenceError}
     exec(compile(gen.source, "<control>", "exec"), ns)
-    loops = [_LoopFunction(names) for names in gen.bodies]
-    return (tuple(program.rules), ns["control"], loops, tuple(gen.probes),
-            gen.frames)
+    rules = program.rules
+    functions = [fused_applier(rules[name]) for name in gen.appliers]
+    functions += [rule_prober(rules[name]) for name in gen.probes]
+    functions += [fused_loop([rules[name] for name in names]) for names in gen.bodies]
+    used = {*gen.appliers, *gen.probes, *(n for names in gen.bodies for n in names)}
+    plans = tuple((name, rules[name].plan) for name in used)
+    return plans, ns["control"], functions, gen.frames

@@ -13,11 +13,6 @@ from typing import Callable, Iterator, Optional
 
 from .errors import ValidationError
 
-Atom = int | str
-Label = "tuple[Atom, ...]"
-
-EMPTY: tuple = ()
-
 VAR_KINDS = ("int", "char", "string", "atom", "list")
 
 _MISSING = object()
@@ -203,10 +198,6 @@ class NotC:
     inner: object
 
 
-Condition = CmpC | AndC | OrC | NotC
-DegreeFn = Callable[[str, int], int]
-
-
 def _eval_term(t, assignment, degrees):
     k = type(t)
     if k is IntT:
@@ -215,11 +206,10 @@ def _eval_term(t, assignment, degrees):
         v = assignment[t.name]
         return v if type(v) is int else None
     if k is ArithT:
-        a = _eval_term(t.left, assignment, degrees)
-        b = _eval_term(t.right, assignment, degrees)
-        if a is None or b is None:
+        values = [(_eval_term(s, assignment, degrees), plus) for plus, s in summands(t)]
+        if any(v is None for v, _ in values):
             return None
-        return a + b if t.op == "+" else a - b
+        return sum(v if plus else -v for v, plus in values)
     if k is DegT:
         return degrees(t.fn, t.pid)
     raise TypeError(f"not a term: {t!r}")
@@ -235,7 +225,8 @@ _CMP = {
 }
 
 
-def eval_cond(cond, assignment: dict, degrees: Optional[DegreeFn] = None) -> bool:
+def eval_cond(cond, assignment: dict,
+              degrees: Optional[Callable[[str, int], int]] = None) -> bool:
     """Evaluate a condition; a non-int binding makes its comparison false."""
     k = type(cond)
     if k is CmpC:
@@ -249,8 +240,29 @@ def eval_cond(cond, assignment: dict, degrees: Optional[DegreeFn] = None) -> boo
     if k is OrC:
         return any(eval_cond(c, assignment, degrees) for c in operands(cond, OrC))
     if k is NotC:
-        return not eval_cond(cond.inner, assignment, degrees)
+        inner, negated = strip_nots(cond)
+        return eval_cond(inner, assignment, degrees) != negated
     raise TypeError(f"not a condition: {cond!r}")
+
+
+def summands(t) -> list:
+    """(is added, operand) of each operand of the `+`/`-` chain at term `t`,
+    left to right; the chain's left spine is walked without recursion."""
+    found = []
+    while type(t) is ArithT:
+        found.append((t.op == "+", t.right))
+        t = t.left
+    found.append((True, t))
+    return found[::-1]
+
+
+def strip_nots(cond) -> tuple:
+    """The condition under the chain of `not`s at `cond`, and whether the
+    chain has an odd number of them."""
+    negated = False
+    while type(cond) is NotC:
+        cond, negated = cond.inner, not negated
+    return cond, negated
 
 
 def operands(cond, kind) -> list:
@@ -266,23 +278,32 @@ def operands(cond, kind) -> list:
     return found
 
 
+# Rule conditions nest `and`, `or` and `not` at most this deep; compiled,
+# each level is a parenthesis, and Python allows 200 nested ones.
+MAX_COND_DEPTH = 100
+
+
 def cond_refs(cond) -> tuple:
-    """Names of the variables a condition references, and ids of the
-    pattern nodes whose degree it queries."""
-    names, pids = set(), set()
-    stack = [cond]
+    """Names of the variables a condition references, ids of the pattern
+    nodes whose degree it queries, and how deep `and`, `or` and `not` nest
+    in it, a chain of one of them counting one level."""
+    names, pids, deepest = set(), set(), 0
+    stack = [(cond, None, 0)]
     while stack:
-        c = stack.pop()
+        c, outer, depth = stack.pop()
         k = type(c)
+        if k is AndC or k is OrC or k is NotC:
+            depth += k is not outer
+            deepest = max(deepest, depth)
         if k is VarT:
             names.add(c.name)
         elif k is DegT:
             pids.add(c.pid)
         elif k in (CmpC, AndC, OrC, ArithT):
-            stack += (c.left, c.right)
+            stack += ((c.left, k, depth), (c.right, k, depth))
         elif k is NotC:
-            stack.append(c.inner)
-    return names, pids
+            stack.append((c.inner, k, depth))
+    return names, pids, deepest
 
 
 def format_atom(atom) -> str:

@@ -26,13 +26,12 @@ would.  Each rule has one compiled rewrite, its fused application
 (fused_applier, applied by apply_rule): the loop nest, with the rewrite at
 the first match, reading the matched nodes, edges and variables from the
 loop's locals; the interpreter's compiled control calls it directly.
-find_match (the same loop nest, ending in a Match) is for inspection, and
-apply_match is a checked wrapper over the fused application for a caller
-that inspected the match first.  The rule's probe (rule_prober) is the
-same loop nest counting the match as an application, without the
-rewrite; the control tests `if` conditions with it.  Each function is
-compiled on its first use, and validate_rule drops all three, so an
-edited rule is compiled afresh.
+The rule's only other function, its probe (rule_prober), is the loop nest
+returning the match as a Match, counted as an application, without the
+rewrite: the control tests `if` conditions with it, and find_match runs
+it for inspection.  apply_match is a checked wrapper over the fused
+application for a caller that inspected the match first.  Both functions
+are compiled on first use; validate_rule drops both.
 
 The rewrite does no work the search has done.  The search keeps each
 matched edge's record, each bound node's record and each adjacency list
@@ -93,8 +92,8 @@ from typing import Optional
 from .errors import DivergenceError, ValidationError
 from .hostgraph import EDGE_MARKS, NODE_MARKS, EdgeRec, HostGraph, NodeRec
 from .labels import (
-    AndC, ArithT, CmpC, DegT, IntT, LabelPattern, NotC, OrC, VarT, cond_refs,
-    operands,
+    MAX_COND_DEPTH, AndC, ArithT, CmpC, DegT, IntT, LabelPattern, NotC, OrC,
+    VarT, cond_refs, operands, strip_nots, summands,
 )
 # Not called here (compiled rules do this work inline); perfbench/tracing.py
 # wraps these three names in this module's namespace.
@@ -137,7 +136,6 @@ class Rule:
     # Filled in by validate_rule:
     plan: list = field(default_factory=list, compare=False, repr=False)
     # Compiled from the above on first use; validate_rule resets them.
-    matcher: object = field(default=None, compare=False, repr=False)
     applier: object = field(default=None, compare=False, repr=False)
     prober: object = field(default=None, compare=False, repr=False)
 
@@ -147,6 +145,11 @@ class Match:
     nodes: dict        # pid -> host node id (injective)
     edges: dict        # lhs edge index -> host edge id (injective)
     assignment: dict   # variable name -> atom or atom tuple
+
+
+# The search's counters, and the largest of its first two per call.
+_COUNTS = ("anchors_tried", "extension_steps", "matches_found")
+_MAXIMA = ("max_anchors_per_call", "max_extensions_per_call")
 
 
 class MatchStats:
@@ -168,29 +171,19 @@ class MatchStats:
 
     def copy(self) -> "MatchStats":
         s = MatchStats()
-        s.anchors_tried = self.anchors_tried
-        s.extension_steps = self.extension_steps
-        s.matches_found = self.matches_found
-        s.applications = self.applications
+        for name in self.__slots__:
+            setattr(s, name, getattr(self, name))
         s.by_rule = dict(self.by_rule)
-        s.max_anchors_per_call = self.max_anchors_per_call
-        s.max_extensions_per_call = self.max_extensions_per_call
         return s
 
     def minus(self, other: "MatchStats") -> "MatchStats":
         """Counter deltas since `other`; the max fields stay absolute."""
-        s = MatchStats()
-        s.anchors_tried = self.anchors_tried - other.anchors_tried
-        s.extension_steps = self.extension_steps - other.extension_steps
-        s.matches_found = self.matches_found - other.matches_found
-        s.applications = self.applications - other.applications
-        s.by_rule = {
-            name: n - other.by_rule.get(name, 0)
-            for name, n in self.by_rule.items()
-            if n != other.by_rule.get(name, 0)
-        }
-        s.max_anchors_per_call = self.max_anchors_per_call
-        s.max_extensions_per_call = self.max_extensions_per_call
+        s = self.copy()
+        for name in _COUNTS + ("applications",):
+            setattr(s, name, getattr(self, name) - getattr(other, name))
+        s.by_rule = {name: n - other.by_rule.get(name, 0)
+                     for name, n in self.by_rule.items()
+                     if n != other.by_rule.get(name, 0)}
         return s
 
     def __repr__(self):
@@ -285,7 +278,7 @@ def validate_rule(rule: Rule) -> list:
         errors.append(f"rule {rule.name}: duplicate variable declaration")
 
     declared = set(kinds)
-    lhs_vars: set = set()
+    lhs_vars, rhs_vars = set(), set()
     for side_name, side in (("lhs", rule.lhs), ("rhs", rule.rhs)):
         for pid, pn in side.nodes.items():
             if pn.pid != pid:
@@ -293,8 +286,8 @@ def validate_rule(rule: Rule) -> list:
             for v in pn.label.variables():
                 if v not in declared:
                     errors.append(f"rule {rule.name}: undeclared variable {v!r}")
-                elif side_name == "lhs":
-                    lhs_vars.add(v)
+                else:
+                    (lhs_vars if side_name == "lhs" else rhs_vars).add(v)
             if pn.mark not in NODE_MARKS and pn.mark != "any":
                 errors.append(f"rule {rule.name}: bad node mark {pn.mark!r}")
         for pe in side.edges:
@@ -305,21 +298,15 @@ def validate_rule(rule: Rule) -> list:
             for v in pe.label.variables():
                 if v not in declared:
                     errors.append(f"rule {rule.name}: undeclared variable {v!r}")
-                elif side_name == "lhs":
-                    lhs_vars.add(v)
+                else:
+                    (lhs_vars if side_name == "lhs" else rhs_vars).add(v)
 
     for pid in rule.interface:
         if pid not in rule.lhs.nodes or pid not in rule.rhs.nodes:
             errors.append(f"rule {rule.name}: interface pid {pid} not on both sides")
 
-    rhs_vars = set()
-    for pn in rule.rhs.nodes.values():
-        rhs_vars.update(pn.label.variables())
-    for pe in rule.rhs.edges:
-        rhs_vars.update(pe.label.variables())
     for v in sorted(rhs_vars - lhs_vars):
-        if v in declared:
-            errors.append(f"rule {rule.name}: variable {v!r} used on rhs only")
+        errors.append(f"rule {rule.name}: variable {v!r} used on rhs only")
 
     for pid, pn in rule.rhs.nodes.items():
         if pid not in rule.interface and pn.mark == "any":
@@ -329,13 +316,16 @@ def validate_rule(rule: Rule) -> list:
             errors.append(f"rule {rule.name}: rhs edge has wildcard mark")
 
     if rule.cond is not None:
-        cond_vars, cond_pids = cond_refs(rule.cond)
+        cond_vars, cond_pids, depth = cond_refs(rule.cond)
         for v in sorted(cond_vars):
             if v not in lhs_vars:
                 errors.append(f"rule {rule.name}: condition uses unbound variable {v!r}")
         for pid in sorted(cond_pids):
             if pid not in rule.lhs.nodes:
                 errors.append(f"rule {rule.name}: condition queries unknown node {pid}")
+        if depth > MAX_COND_DEPTH:
+            errors.append(f"rule {rule.name}: condition nests and/or/not {depth} "
+                          f"deep (at most {MAX_COND_DEPTH})")
 
     if errors:
         raise ValidationError("; ".join(errors))
@@ -344,7 +334,7 @@ def validate_rule(rule: Rule) -> list:
         warnings.append(f"rule {rule.name}: no rooted node in left-hand side")
 
     rule.plan = _build_plan(rule)
-    rule.matcher = rule.applier = rule.prober = None
+    rule.applier = rule.prober = None
     return warnings
 
 
@@ -370,6 +360,14 @@ _STORES = ("nodes = g.nodes", "edges = g.edges",
 # totals and keep the largest per attempt.
 _SETTLE_ATTEMPT = ("NA += na", "NX += nx",
                    "if na > MA: MA = na", "if nx > MX: MX = nx")
+
+# Add a search's anchor and extension counts ({0}, {1}) to `stats`, and
+# the largest per call ({2}, {3}) to its maxima.
+_SETTLE = ("stats.anchors_tried += {0}", "stats.extension_steps += {1}",
+           "if {2} > stats.max_anchors_per_call:",
+           "    stats.max_anchors_per_call = {2}",
+           "if {3} > stats.max_extensions_per_call:",
+           "    stats.max_extensions_per_call = {3}")
 
 _PY_CMP = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
@@ -435,7 +433,7 @@ def _schedule(rule: Rule) -> tuple:
         bound.update(pe.label.variables())
     early, late = [], []
     for c in conjuncts:
-        names, pids = cond_refs(c)
+        names, pids, _ = cond_refs(c)
         (early if last not in pids and names <= bound else late).append(c)
     return early, late
 
@@ -452,7 +450,7 @@ def _may_share(a: PatternNode, b: PatternNode) -> bool:
 
 
 class _Codegen:
-    """Source of one rule's matcher or fused application, or of one loop
+    """Source of one rule's probe or fused application, or of one loop
     function over a rule set.
 
     Rule data enters the source only as integers and as the repr() of exact
@@ -521,16 +519,15 @@ class _Codegen:
     # -- search ---------------------------------------------------------------
 
     def search(self, rule: Rule, name: str) -> None:
-        """The plan's loop nest as function `name`: "match" returns a Match
-        or None, "apply" rewrites the graph at the first match and returns
-        whether there was one, and "probe" returns whether there is one,
-        counting it as an application, without rewriting."""
+        """The plan's loop nest as function `name`: "apply" rewrites the
+        graph at the first match and returns whether there was one, and
+        "probe" returns the first match, counted as an application, or
+        False, without rewriting."""
         self.use(rule)
         self.name = name
-        self.miss = "None" if name == "match" else "False"
-        self.stack = []        # per open function: (caller's lines, is_top)
+        self.stack = []        # per open function: its caller's lines
         self.sources = {}      # anchor source -> local holding its candidates
-        self.open_function(name, "g, stats", top=True)
+        self.open_function(name, "g, stats")
         self.emit_lines(_STORES)
         self.read_sources(self.anchor_sources())
         if rule.plan:
@@ -666,17 +663,12 @@ class _Codegen:
 
     def settle(self, counts: dict) -> list:
         """Lines adding a loop function's counters to `stats`."""
-        lines = ["stats.anchors_tried += NA",
-                 "stats.extension_steps += NX",
-                 "if MA > stats.max_anchors_per_call:",
-                 "    stats.max_anchors_per_call = MA",
-                 "if MX > stats.max_extensions_per_call:",
-                 "    stats.max_extensions_per_call = MX",
-                 f"n = {' + '.join(counts.values())}",
-                 "if n:",
-                 "    stats.matches_found += n",
-                 "    stats.applications += n",
-                 "    by_rule = stats.by_rule"]
+        lines = [line.format("NA", "NX", "MA", "MX") for line in _SETTLE]
+        lines += [f"n = {' + '.join(counts.values())}",
+                  "if n:",
+                  "    stats.matches_found += n",
+                  "    stats.applications += n",
+                  "    by_rule = stats.by_rule"]
         for name, k in counts.items():
             name = self.lit(name)
             lines += [f"    if {k}:",
@@ -826,34 +818,30 @@ class _Codegen:
         self.emit(f"if tr is not None: tr({self.lit(rule.name)})")
         self.emit("continue")
 
-    def open_function(self, name: str, params: str, top: bool) -> None:
-        self.stack.append((self.lines, top))
+    def open_function(self, name: str, params: str) -> None:
+        """Open the search's function, or a helper continuing it."""
+        self.stack.append(self.lines)
         self.lines = [f"def {name}({params}):"]
         self.depth = 1
         self.loops = 0
-        self.fail = f"return {self.miss}" if top else "return None, nx"
-        if not top:
+        self.fail = "return False"
+        if len(self.stack) > 1:
+            self.fail = "return None, nx"
             self.emit("nx = 0")
 
     def close_function(self) -> None:
         self.depth = 1
-        self.return_(self.miss if self.stack[-1][1] else "None")
+        self.return_("False" if len(self.stack) == 1 else "None")
         self.funcs.append("\n".join(self.lines))
-        self.lines, _ = self.stack.pop()
+        self.lines = self.stack.pop()
 
     def return_(self, result: str) -> None:
         """Leave the current function with `result`, settling the counters."""
-        top = self.stack[-1][1]
-        if not top:
+        if len(self.stack) > 1:
             self.emit(f"return {result}, nx")
             return
         if self.rule.plan:
-            self.emit("stats.anchors_tried += na")
-            self.emit("stats.extension_steps += nx")
-            self.emit("if na > stats.max_anchors_per_call:")
-            self.emit("    stats.max_anchors_per_call = na")
-            self.emit("if nx > stats.max_extensions_per_call:")
-            self.emit("    stats.max_extensions_per_call = nx")
+            self.emit_lines(line.format("na", "nx", "na", "nx") for line in _SETTLE)
         self.emit(f"return {result}")
 
     def continue_in_helper(self) -> None:
@@ -872,7 +860,7 @@ class _Codegen:
         self.emit("if m is not None:")
         self.depth += 1
         self.return_("m")
-        self.open_function(name, args, top=False)
+        self.open_function(name, args)
 
     def loop(self, var: str, iterable: str, counter: str) -> None:
         self.emit(f"for {var} in {iterable}:")
@@ -903,7 +891,9 @@ class _Codegen:
         self.bind_node(pid, local, test_root=source[0] != "roots",
                        test_mark=source in (("roots",), ("scan",)))
 
-    def extend(self, eidx: int, known, new, use_out: bool) -> None:
+    def edge(self, eidx: int, known, use_out: bool) -> tuple:
+        """Open the loop binding lhs edge `eidx` to an edge at `known`'s host
+        node; return the pattern edge and the host edge's and record's locals."""
         pe = self.rule.lhs.edges[eidx]
         e = f"e{len(self.edges)}"
         q = _edge_rec(e)
@@ -913,6 +903,10 @@ class _Codegen:
         self.test_unused(e, [local for _, local, other in self.edges
                              if (other.src if use_out else other.tgt) == known])
         self.emit(f"{q} = edges[{e}]")
+        return pe, e, q
+
+    def extend(self, eidx: int, known, new, use_out: bool) -> None:
+        pe, e, q = self.edge(eidx, known, use_out)
         self.test_edge(pe, q)
         local = f"n{len(self.nodes)}"
         self.emit(f"{local} = {q}.{'tgt' if use_out else 'src'}")
@@ -920,13 +914,7 @@ class _Codegen:
         self.edges.append((eidx, e, pe))
 
     def close(self, eidx: int) -> None:
-        pe = self.rule.lhs.edges[eidx]
-        e = f"e{len(self.edges)}"
-        q = _edge_rec(e)
-        self.loop(e, self.adj("out_adj", pe.src), "nx")
-        self.test_unused(e, [local for _, local, other in self.edges
-                             if other.src == pe.src])
-        self.emit(f"{q} = edges[{e}]")
+        pe, e, q = self.edge(eidx, self.rule.lhs.edges[eidx].src, True)
         self.emit(f"if {q}.tgt != {self.nodes[pe.tgt][0]}: {self.fail}")
         self.test_edge(pe, q)
         self.edges.append((eidx, e, pe))
@@ -1063,17 +1051,17 @@ class _Codegen:
             self.emit("break")
             return
         self.emit("stats.matches_found += 1")
-        if self.name != "match":
-            if self.name == "apply":
-                body = self.body()
-                if self.journaled:
-                    # Only the base frame open: its entries would be discarded.
-                    body[:0] = ["fr = g._frames", "j = fr[-1][0] if len(fr) > 1 else []"]
-                self.emit_lines(body)
-            self.emit("stats.applications += 1")
-            self.emit("by_rule = stats.by_rule")
-            name = self.lit(rule.name)
-            self.emit(f"by_rule[{name}] = by_rule.get({name}, 0) + 1")
+        if self.name == "apply":
+            body = self.body()
+            if self.journaled:
+                # Only the base frame open: its entries would be discarded.
+                body[:0] = ["fr = g._frames", "j = fr[-1][0] if len(fr) > 1 else []"]
+            self.emit_lines(body)
+        self.emit("stats.applications += 1")
+        self.emit("by_rule = stats.by_rule")
+        name = self.lit(rule.name)
+        self.emit(f"by_rule[{name}] = by_rule.get({name}, 0) + 1")
+        if self.name == "apply":
             self.return_("True")
             return
         nmap = ", ".join(f"{self.lit(pid)}: {local}"
@@ -1106,7 +1094,8 @@ class _Codegen:
             op = " and " if k is AndC else " or "
             return f"({op.join(self.cond(x) for x in operands(c, k))})"
         if k is NotC:
-            return f"(not {self.cond(c.inner)})"
+            inner, negated = strip_nots(c)
+            return f"(not {self.cond(inner)})" if negated else self.cond(inner)
         raise TypeError(f"not a condition: {c!r}")
 
     def term(self, t) -> str:
@@ -1116,8 +1105,11 @@ class _Codegen:
         if k is VarT:
             return self.vars[t.name][0]
         if k is ArithT:
-            op = "+" if t.op == "+" else "-"
-            return f"({self.term(t.left)} {op} {self.term(t.right)})"
+            # Python's compiler recurses once per binary operator.
+            parts = [self.term(s) if plus else
+                     self.lit(-s.value) if type(s) is IntT else f"-{self.term(s)}"
+                     for plus, s in summands(t)]
+            return f"sum(({', '.join(parts)},))"
         if k is DegT:
             return f"len({self.adj('out_adj' if t.fn == 'outdeg' else 'in_adj', t.pid)})"
         raise TypeError(f"not a term: {t!r}")
@@ -1365,18 +1357,22 @@ def _edge_rec(e: str) -> str:
 
 
 def _compile(rule: Rule, name: str):
-    """Compile the rule's "match", "apply" or "probe" function and return
-    it."""
+    """Compile the rule's "apply" or "probe" function and return it."""
     gen = _Codegen()
     gen.search(rule, name)
     return gen.compiled(name, f"<rule {rule.name!r}>")
 
 
 def find_match(rule: Rule, g: HostGraph, stats: MatchStats) -> Optional[Match]:
-    """First match of `rule` in `g` under the fixed search order, or None."""
-    if rule.matcher is None:
-        rule.matcher = _compile(rule, "match")
-    return rule.matcher(g, stats)
+    """First match of `rule` in `g` under the fixed search order, or None,
+    as the rule's probe finds it; `stats` counts only the search."""
+    probed = MatchStats()
+    m = rule_prober(rule)(g, probed)
+    for name in _COUNTS:
+        setattr(stats, name, getattr(stats, name) + getattr(probed, name))
+    for name in _MAXIMA:
+        setattr(stats, name, max(getattr(stats, name), getattr(probed, name)))
+    return m or None
 
 
 def apply_match(rule: Rule, m: Match, g: HostGraph, stats: MatchStats) -> None:
@@ -1401,10 +1397,11 @@ def fused_applier(rule: Rule):
 
 
 def rule_prober(rule: Rule):
-    """The rule's probe, `probe(g, stats) -> bool`, compiled on first use:
-    its search, counted as the fused application counts it, without the
-    rewrite.  It tells whether the rule applies, as applying it inside a
-    scope that is then rolled back would."""
+    """The rule's probe, `probe(g, stats) -> Match or False`, compiled on
+    first use: its search, counted as the fused application counts it,
+    without the rewrite.  It finds the match the fused application would
+    rewrite at, so it tells whether the rule applies, as applying it
+    inside a scope that is then rolled back would."""
     if rule.prober is None:
         rule.prober = _compile(rule, "probe")
     return rule.prober

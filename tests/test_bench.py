@@ -1,6 +1,6 @@
 import pytest
 
-from rootedgp import bench
+from rootedgp import bench, interp, rules
 from rootedgp.bench import (
     BenchRow, CSV_HEADER, build_balanced_graph, build_degenerate_graph,
     gen_balanced, gen_degenerate, measure, measured_ops, measurement_program,
@@ -158,27 +158,38 @@ class TestMeasure:
             validate_rule(rule)    # drops the compiled functions
         prog.warnings = validate_program(prog)    # drops the compiled control
         assert prog.compiled is None
-        uncompiled = []
+        compiles = []
         timed = 0
+        timing = False
 
-        def checked_run_measured(base, ops, variant="sanitized"):
-            nonlocal timed
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def compile_counted(*args):
+                compiles.append((f"{owner.__name__}.{name}", timing))
+                return original(*args)
+            monkeypatch.setattr(owner, name, compile_counted)
+
+        counted(rules, "_compile")         # a rule's applier or probe
+        counted(interp, "fused_loop")      # a loop function, as interp calls it
+        counted(interp, "_compile")        # a program's control
+
+        def timed_run_measured(base, ops, variant="sanitized"):
+            nonlocal timed, timing
             timed += 1
-            program = measurement_program(variant)
-            uncompiled.extend(name for name, rule in program.rules.items()
-                              if rule.applier is None)
-            if program.compiled is None:
-                uncompiled.append("control")
-            else:
-                loops = program.compiled[2]
-                assert loops    # the descent, unroot! and go_right2!
-                uncompiled.extend(loop.names for loop in loops if loop.function is None)
-            return run_measured(base, ops, variant)
+            timing = True
+            try:
+                return run_measured(base, ops, variant)
+            finally:
+                timing = False
 
-        monkeypatch.setattr(bench, "run_measured", checked_run_measured)
+        monkeypatch.setattr(bench, "run_measured", timed_run_measured)
         measure("degenerate", [4], reps=1)
         assert timed == 3
-        assert uncompiled == []
+        assert {name for name, _ in compiles} == {
+            "rootedgp.rules._compile", "rootedgp.interp.fused_loop",
+            "rootedgp.interp._compile"}
+        assert [name for name, in_timed_run in compiles if in_timed_run] == []
 
 
 def _row(shape, n, op, mean_ns, rule_apps):

@@ -2,10 +2,12 @@ from importlib import resources
 
 import pytest
 
+from matchref import brute_force_exists, reference_search
 from rootedgp import bst
 from rootedgp.cli import main
 from rootedgp.interp import MAX_NESTING
-from rootedgp.text import parse_program
+from rootedgp.labels import MAX_COND_DEPTH
+from rootedgp.text import parse_host, parse_program
 
 GOLDEN_RUN = (
     '[ (n0, "i":5) (n1(R), "s":5) (n2, empty #green) (n3, 5 #grey) | '
@@ -239,3 +241,52 @@ class TestValidate:
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+def _alternation(levels: int) -> str:
+    """`x > 0` under `levels` alternating `and`/`or` operators."""
+    cond = "x > 0"
+    for i in range(levels):
+        cond = f"x > 0 {'and' if i % 2 else 'or'} ({cond})"
+    return cond
+
+
+class TestDeepConditions:
+    HOST = "[ (n0(R), 1) | ]"
+
+    def files(self, tmp_path, cond):
+        program = tmp_path / "deep.gp2"
+        program.write_text("Main = r\nr(x:int) [ (1(R), x) | ] => [ (1(R), x) | ] "
+                           f"interface = {{1}} where {cond}\n")
+        host = tmp_path / "in.host"
+        host.write_text(self.HOST)
+        return program, str(host)
+
+    @pytest.mark.parametrize("cond", [
+        " + ".join(["x"] * 250) + " > 0",
+        " + ".join(["x"] * 3000) + " > 0",
+        " - ".join(["x"] * 3000) + " > 0",
+        "not " * 201 + "x > 0",
+        "not " * 798 + "x > 0",
+        "not " * 799 + "x > 0",
+        _alternation(MAX_COND_DEPTH),
+    ], ids=["sum250", "sum3000", "difference3000", "not201", "not798", "not799",
+            "alternation-at-limit"])
+    def test_runs_and_agrees_with_the_reference(self, tmp_path, capsys, cond):
+        program, host = self.files(tmp_path, cond)
+        rule = parse_program(program.read_text()).rules["r"]
+        applies = brute_force_exists(rule, parse_host(self.HOST))
+        assert (reference_search(rule, parse_host(self.HOST))[0] is not None) is applies
+        assert main(["validate", str(program)]) == 0
+        assert main(["run", str(program), host]) == (0 if applies else 1)
+        out, err = capsys.readouterr()
+        assert out.endswith("[ (n0(R), 1) | ]\n")
+        assert err == ""
+
+    def test_too_deep_alternation_exits_3_on_one_line(self, tmp_path, capsys):
+        program, host = self.files(tmp_path, _alternation(250))
+        for command in (["validate", str(program)], ["run", str(program), host]):
+            assert main(command) == 3
+            err = capsys.readouterr().err
+            assert err == ("validation error: rule r: condition nests and/or/not "
+                           f"250 deep (at most {MAX_COND_DEPTH})\n")

@@ -7,10 +7,12 @@ import pytest
 from matchref import (
     brute_force_exists, plant_lhs, random_rule, reference_run, reference_search,
 )
+from rootedgp import interp, rules
 from rootedgp.bench import (
     append_instructions, build_degenerate_graph, measured_ops, measurement_program,
     run_measured,
 )
+from rootedgp.bst import asset_text
 from rootedgp.errors import DivergenceError, ValidationError
 from rootedgp.hostgraph import EdgeRec, HostGraph
 from rootedgp.interp import (
@@ -212,8 +214,7 @@ class TestCompiledControl:
         p = prog_of(Main=Seq((Call("add"), Loop(RuleSet(("never", "bump"))))))
         g = HostGraph()
         run(p, g)
-        control = p.compiled
-        loop = control[2][0].function
+        compiled = p.compiled
         assert sorted(rec.label for rec in g.nodes.values()) == [(5,)]
         rule = p.rules["add"]
         rule.rhs.nodes[1].label = parse_rule(
@@ -225,9 +226,42 @@ class TestCompiledControl:
         bump.lhs, bump.rhs = fresh.lhs, fresh.rhs
         validate_rule(bump)
         run(p, g)
-        assert p.compiled is control
-        assert control[2][0].function is not loop
+        assert p.compiled is not compiled    # recompiled
         assert sorted(rec.label for rec in g.nodes.values()) == [(5,), (6,)]
+
+    def test_compiles_exactly_what_the_control_calls(self, monkeypatch):
+        p = parse_program(asset_text("bst_sanitized.gp2"))
+        compiled = []
+
+        def counted(owner, name, kind):
+            original = getattr(owner, name)
+
+            def compile_counted(*args):
+                compiled.append(kind(*args))
+                return original(*args)
+            monkeypatch.setattr(owner, name, compile_counted)
+
+        counted(rules, "_compile", lambda rule, name: (name, rule.name))
+        counted(interp, "fused_loop", lambda members: ("loop",) + tuple(
+            rule.name for rule in members))
+        counted(interp, "_compile", lambda program: ("control",))
+        run(p, HostGraph())
+        appliers = {c[1] for c in compiled if c[0] == "apply"}
+        # The control never calls the applier of a rule it only loops over.
+        assert appliers == set(p.rules) - {"unroot", "go_right1", "go_left1",
+                                           "go_right2"}
+        assert len(compiled) == 19 + 2 + 3 + 1
+        assert sorted(c for c in compiled if c[0] != "apply") == [
+            ("control",), ("loop", "go_right1", "go_left1"), ("loop", "go_right2"),
+            ("loop", "unroot"), ("probe", "go_right2"), ("probe", "match")]
+        compiled.clear()
+        run(p, HostGraph())
+        assert compiled == []
+        validate_rule(p.rules["go_left2"])
+        run(p, HostGraph())
+        assert sorted(compiled) == [
+            ("apply", "go_left2"), ("control",), ("loop", "go_right1", "go_left1"),
+            ("loop", "go_right2"), ("loop", "unroot")]
 
     def test_revalidated_if_condition_is_probed_by_fresh_code(self):
         p = prog_of(Main=Seq((Call("add"), If(Call("bump"), Call("add"), SKIP))))

@@ -435,12 +435,12 @@ class TestCompiledRules:
         rule = parse_rule(GO_RIGHT1)
         g, _, _ = traversal_host(parent_key=5, child_key=3)
         assert find_match(rule, g, MatchStats()) is None
-        assert rule.matcher is not None
+        assert rule.prober is not None
         assert not apply_rule(rule, g, MatchStats())
         assert rule.applier is not None
         rule.cond = CmpC("<", VarT("m"), VarT("n"))
         validate_rule(rule)
-        assert (rule.matcher, rule.applier) == (None, None)
+        assert (rule.prober, rule.applier) == (None, None)
         assert find_match(rule, g, MatchStats()) is not None
         assert apply_rule(rule, g, MatchStats())
         assert rule.applier is not None
