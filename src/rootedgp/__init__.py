@@ -7,9 +7,9 @@ from .errors import (
 )
 from .hostgraph import HostGraph
 from .interp import DEFAULT_MAX_ITERS, Program, Status, run, validate_program
-from .labels import LabelPattern, eval_cond, eval_pattern, unify_label
+from .labels import LabelPattern
 from .rules import (
-    Match, MatchStats, Rule, apply_match, apply_rule, find_match, validate_rule,
+    Match, MatchStats, Rule, apply_rule, find_match, validate_rule,
 )
 from .text import (
     Op, build_instruction_graph, format_opscript, parse_host, parse_opscript,

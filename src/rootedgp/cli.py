@@ -74,6 +74,8 @@ def cmd_bst(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.seeds < 1:
+        raise ValueError("--seeds must be at least 1")
     if args.variant == "faithful" and args.constraints != "faithful-safe":
         print("faithful variant requires --constraints faithful-safe", file=sys.stderr)
         return EXIT_USAGE
@@ -87,11 +89,9 @@ def cmd_check(args) -> int:
 
 
 def _parse_sizes(text: str, shape: str) -> list:
-    if shape == "balanced":
-        if text.startswith("h="):
-            lo, _, hi = text[2:].partition("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(t) for t in text.split(",")]
+    if shape == "balanced" and text.startswith("h="):
+        lo, _, hi = text[2:].partition("..")
+        return list(range(int(lo), int(hi) + 1))
     return [int(t) for t in text.split(",")]
 
 

@@ -1,14 +1,30 @@
 """Mutable host graph with marks, root registry, degree bookkeeping, and
 scoped rollback.
 
-Every mutation made while a scope is open is appended to that scope's
-journal as an inverse operation.  Rolling a scope back replays the journal
-in reverse and rewinds the id allocators and the root-recency counter, so
-the graph is restored bit-identically to its state at scope open.  Scopes
-nest strictly (LIFO); committing a scope merges its journal into the parent
-so an enclosing rollback still undoes the committed work.  The journal
-holds inverse operations rather than snapshots: rollback costs O(changes),
-not O(graph).
+Every mutation appends an entry `(kind, *fields)` to the journal of the
+innermost open scope.  The table UNDO defines the journal: it maps each
+kind to the raw store update that reverts the change, which takes the
+entry's fields and returns whether it may have filed a root out of
+rooting order.
+
+    kind  change           fields                         undo (_raw_...)
+    "+n"  node added       nid                            remove_node
+    "-n"  node deleted     nid, label, mark, rooted, seq  insert_node
+    "+e"  edge added       eid                            remove_edge
+    "-e"  edge deleted     eid, src, tgt, label, mark     insert_edge
+    "lb"  node relabelled  nid, old label                 set_label
+    "el"  edge relabelled  eid, old label                 set_edge_label
+    "mk"  node remarked    nid, old mark                  set_mark
+    "rt"  node (un)rooted  nid, old rooted, old seq       set_root
+
+Kinds are strings, not functions, so the garbage collector can stop
+tracking an entry.  Rolling a scope back runs its entries' undos in
+reverse and rewinds the id allocators and the root-recency counter,
+restoring the graph bit-identically: O(changes), not O(graph).  Scopes
+nest strictly (LIFO); committing a scope appends its journal to the
+parent's, so an enclosing rollback still undoes the committed work.  The
+base frame is never rolled back; its journal, a deque of length 0, keeps
+nothing.
 
 Adjacency lists are kept in ascending edge id.  A new edge's id is always
 the largest in the graph, because a rollback rewinds the edge allocator
@@ -27,6 +43,7 @@ the registries in rooting order.
 from __future__ import annotations
 
 from bisect import insort
+from collections import deque
 from heapq import merge
 
 from .errors import GraphError
@@ -81,15 +98,11 @@ class HostGraph:
         self._next_node = 0
         self._next_edge = 0
         self._root_seq = 0
-        # frames[0] is the base frame; it is never rolled back and its
-        # entries are discarded, so we skip journaling when it is alone.
-        self._frames: list = [([], 0, 0, 0)]
+        # (entries, next node, next edge, root seq) per open scope; the
+        # base frame, never rolled back, keeps no entries.
+        self._frames: list = [(deque(maxlen=0), 0, 0, 0)]
 
     # -- journaling --------------------------------------------------------
-
-    def _record(self, entry) -> None:
-        if len(self._frames) > 1:
-            self._frames[-1][0].append(entry)
 
     def begin_scope(self) -> int:
         token = len(self._frames)
@@ -100,37 +113,15 @@ class HostGraph:
         if token != len(self._frames) - 1 or token < 1:
             raise GraphError(f"non-LIFO commit of scope {token}")
         entries, _, _, _ = self._frames.pop()
-        if len(self._frames) > 1:
-            self._frames[-1][0].extend(entries)
+        self._frames[-1][0].extend(entries)
 
     def rollback_scope(self, token: int) -> None:
         if token != len(self._frames) - 1 or token < 1:
             raise GraphError(f"non-LIFO rollback of scope {token}")
         entries, nn, ne, rs = self._frames.pop()
         refile = False
-        for entry in reversed(entries):
-            op = entry[0]
-            if op == "+n":
-                self._raw_remove_node(entry[1])
-            elif op == "-n":
-                _, nid, label, mark, rooted, seq = entry
-                self._raw_insert_node(nid, label, mark, rooted, seq)
-                refile = refile or rooted
-            elif op == "+e":
-                self._raw_remove_edge(entry[1])
-            elif op == "-e":
-                _, eid, src, tgt, label, mark = entry
-                self._raw_insert_edge(eid, src, tgt, label, mark)
-            elif op == "lb":
-                self.nodes[entry[1]].label = entry[2]
-            elif op == "el":
-                self.edges[entry[1]].label = entry[2]
-            elif op == "mk":
-                self._raw_set_mark(entry[1], entry[2])
-                refile = refile or self.nodes[entry[1]].rooted
-            else:  # "rt"
-                self._raw_set_root(entry[1], entry[2], entry[3])
-                refile = refile or entry[2]
+        for e in reversed(entries):
+            refile = UNDO[e[0]](self, *e[1:]) or refile
         if refile:
             self._refile_roots()
         self._next_node = nn
@@ -139,7 +130,7 @@ class HostGraph:
 
     # -- raw store updates (no journaling) ----------------------------------
 
-    def _raw_insert_node(self, nid, label, mark, rooted, seq) -> None:
+    def _raw_insert_node(self, nid, label, mark, rooted, seq) -> bool:
         self.nodes[nid] = NodeRec(label, mark, rooted, seq)
         self.out_adj[nid] = []
         self.in_adj[nid] = []
@@ -147,6 +138,7 @@ class HostGraph:
             self._roots[mark][nid] = None
         if mark != "none":
             self._by_mark[mark].add(nid)
+        return rooted
 
     def _raw_remove_node(self, nid) -> None:
         rec = self.nodes.pop(nid)
@@ -167,10 +159,16 @@ class HostGraph:
         self.out_adj[rec.src].remove(eid)
         self.in_adj[rec.tgt].remove(eid)
 
-    def _raw_set_mark(self, nid, mark) -> None:
+    def _raw_set_label(self, nid, label) -> None:
+        self.nodes[nid].label = label
+
+    def _raw_set_edge_label(self, eid, label) -> None:
+        self.edges[eid].label = label
+
+    def _raw_set_mark(self, nid, mark) -> bool:
         rec = self.nodes[nid]
         if rec.mark == mark:
-            return
+            return False
         if rec.mark != "none":
             self._by_mark[rec.mark].discard(nid)
         if rec.rooted:
@@ -179,8 +177,11 @@ class HostGraph:
         rec.mark = mark
         if mark != "none":
             self._by_mark[mark].add(nid)
+        # A remarked root keeps its rooting time, so it may be older than
+        # roots already filed under its new mark.
+        return rec.rooted
 
-    def _raw_set_root(self, nid, rooted, seq) -> None:
+    def _raw_set_root(self, nid, rooted, seq) -> bool:
         rec = self.nodes[nid]
         rec.rooted = rooted
         rec.root_seq = seq
@@ -188,6 +189,7 @@ class HostGraph:
             self._roots[rec.mark][nid] = None
         else:
             del self._roots[rec.mark][nid]
+        return rooted
 
     def _refile_roots(self) -> None:
         """Rebuild the per-mark root registries in rooting order, reading
@@ -201,6 +203,12 @@ class HostGraph:
 
     # -- mutations ----------------------------------------------------------
 
+    def _node(self, nid) -> NodeRec:
+        rec = self.nodes.get(nid)
+        if rec is None:
+            raise GraphError(f"no such node: {nid}")
+        return rec
+
     def add_node(self, label=(), mark="none", rooted=False) -> int:
         if mark not in NODE_MARKS:
             raise GraphError(f"invalid node mark {mark!r}")
@@ -211,16 +219,14 @@ class HostGraph:
             self._root_seq += 1
             seq = self._root_seq
         self._raw_insert_node(nid, tuple(label), mark, rooted, seq)
-        self._record(("+n", nid))
+        self._frames[-1][0].append(("+n", nid))
         return nid
 
     def delete_node(self, nid) -> None:
-        rec = self.nodes.get(nid)
-        if rec is None:
-            raise GraphError(f"no such node: {nid}")
+        rec = self._node(nid)
         if self.out_adj[nid] or self.in_adj[nid]:
             raise GraphError(f"node {nid} still has incident edges")
-        self._record(("-n", nid, rec.label, rec.mark, rec.rooted, rec.root_seq))
+        self._frames[-1][0].append(("-n", nid, rec.label, rec.mark, rec.rooted, rec.root_seq))
         self._raw_remove_node(nid)
 
     def add_edge(self, src, tgt, label=(), mark="none") -> int:
@@ -233,50 +239,41 @@ class HostGraph:
         self.edges[eid] = EdgeRec(src, tgt, tuple(label), mark)
         self.out_adj[src].append(eid)
         self.in_adj[tgt].append(eid)
-        self._record(("+e", eid))
+        self._frames[-1][0].append(("+e", eid))
         return eid
 
     def delete_edge(self, eid) -> None:
         rec = self.edges.get(eid)
         if rec is None:
             raise GraphError(f"no such edge: {eid}")
-        self._record(("-e", eid, rec.src, rec.tgt, rec.label, rec.mark))
+        self._frames[-1][0].append(("-e", eid, rec.src, rec.tgt, rec.label, rec.mark))
         self._raw_remove_edge(eid)
 
     def set_label(self, nid, label) -> None:
-        rec = self.nodes.get(nid)
-        if rec is None:
-            raise GraphError(f"no such node: {nid}")
-        self._record(("lb", nid, rec.label))
-        rec.label = tuple(label)
+        rec = self._node(nid)
+        self._frames[-1][0].append(("lb", nid, rec.label))
+        self._raw_set_label(nid, tuple(label))
 
     def set_edge_label(self, eid, label) -> None:
         rec = self.edges.get(eid)
         if rec is None:
             raise GraphError(f"no such edge: {eid}")
-        self._record(("el", eid, rec.label))
-        rec.label = tuple(label)
+        self._frames[-1][0].append(("el", eid, rec.label))
+        self._raw_set_edge_label(eid, tuple(label))
 
     def set_mark(self, nid, mark) -> None:
-        rec = self.nodes.get(nid)
-        if rec is None:
-            raise GraphError(f"no such node: {nid}")
+        rec = self._node(nid)
         if mark not in NODE_MARKS:
             raise GraphError(f"invalid node mark {mark!r}")
-        self._record(("mk", nid, rec.mark))
-        self._raw_set_mark(nid, mark)
-        if rec.rooted:
-            # A remarked root keeps its rooting time, so it may be older
-            # than roots already filed under its new mark.
+        self._frames[-1][0].append(("mk", nid, rec.mark))
+        if self._raw_set_mark(nid, mark):
             self._refile_roots()
 
     def set_root(self, nid, rooted: bool) -> None:
-        rec = self.nodes.get(nid)
-        if rec is None:
-            raise GraphError(f"no such node: {nid}")
+        rec = self._node(nid)
         if rec.rooted == rooted:
             return
-        self._record(("rt", nid, rec.rooted, rec.root_seq))
+        self._frames[-1][0].append(("rt", nid, rec.rooted, rec.root_seq))
         seq = 0
         if rooted:
             self._root_seq += 1
@@ -377,3 +374,10 @@ class HostGraph:
 
     def __repr__(self):
         return f"<HostGraph {len(self.nodes)} nodes, {len(self.edges)} edges>"
+
+
+# Journal entry kind -> its undo; the module docstring lists the fields.
+UNDO = {"+n": HostGraph._raw_remove_node, "-n": HostGraph._raw_insert_node,
+        "+e": HostGraph._raw_remove_edge, "-e": HostGraph._raw_insert_edge,
+        "lb": HostGraph._raw_set_label, "el": HostGraph._raw_set_edge_label,
+        "mk": HostGraph._raw_set_mark, "rt": HostGraph._raw_set_root}

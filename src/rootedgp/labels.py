@@ -63,10 +63,6 @@ class LabelPattern:
         return f"LabelPattern({list(self.items)!r})"
 
 
-def const_pattern(label) -> LabelPattern:
-    return LabelPattern(tuple(("c", a) for a in label))
-
-
 def _match_scalar(item, atom, assignment, trail) -> bool:
     if item[0] == "c":
         v = item[1]
@@ -118,20 +114,6 @@ def unify_into(pattern: LabelPattern, label, assignment: dict, trail: list) -> b
         trail.append(name)
         return True
     return bound == mid
-
-
-def unify_label(pattern: LabelPattern, label, partial: Optional[dict] = None) -> Optional[dict]:
-    """Match `pattern` against `label`, extending a copy of `partial`.
-
-    Returns the extended assignment, or None if no consistent extension
-    exists.  With at most one list slot the solution is unique, so the
-    first (and only) answer is returned.
-    """
-    assignment = dict(partial) if partial else {}
-    trail: list = []
-    if unify_into(pattern, label, assignment, trail):
-        return assignment
-    return None
 
 
 def eval_pattern(pattern: LabelPattern, assignment: dict):

@@ -22,10 +22,11 @@ the condition and the dangling condition as comparisons on local
 variables.  The rewrite is one block of code that deletes, relabels,
 remarks, reroots and creates directly in the host graph's stores, builds
 the rhs labels in place, and journals exactly what the HostGraph mutators
-would.  Each rule has one compiled rewrite, its fused application
-(fused_applier, applied by apply_rule): the loop nest, with the rewrite at
-the first match, reading the matched nodes, edges and variables from the
-loop's locals; the interpreter's compiled control calls it directly.
+would, as entries of the kinds in hostgraph.UNDO.  Each rule has one
+compiled rewrite, its fused application (fused_applier, applied by
+apply_rule): the loop nest, with the rewrite at the first match, reading
+the matched nodes, edges and variables from the loop's locals; the
+interpreter's compiled control calls it directly.
 The rule's only other function, its probe (rule_prober), is the loop nest
 returning the match as a Match, counted as an application, without the
 rewrite: the control tests `if` conditions with it, and find_match runs
@@ -85,7 +86,6 @@ beyond those matched by the rule.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -349,10 +349,6 @@ _MAX_INDENT = 90
 
 BUDGET_EXHAUSTED = "loop iteration budget exhausted ({})"
 
-# The journal of a loop function that runs with only the base frame open,
-# whose entries would be discarded: appending to it keeps nothing.
-_DISCARD = deque(maxlen=0)
-
 _STORES = ("nodes = g.nodes", "edges = g.edges",
            "out_adj = g.out_adj", "in_adj = g.in_adj")
 
@@ -607,7 +603,7 @@ class _Codegen:
         a helper function or would nest too deep is called through its
         fused applier instead."""
         self.name = "loop"
-        self.ns.update(DISCARD=_DISCARD, DivergenceError=DivergenceError)
+        self.ns.update(DivergenceError=DivergenceError)
         self.lines = ["def loop(g, stats, tr, it, max_iters):"]
         self.depth = 1
         inline = []
@@ -631,8 +627,7 @@ class _Codegen:
                         self.hoist(s[1])
             self.registries = dict(self.sources)
             self.emit_lines(self.rebuilt())
-            self.emit("fr = g._frames")
-            self.emit("j = fr[-1][0] if len(fr) > 1 else DISCARD")
+            self.emit("j = g._frames[-1][0]")
             self.emit("NA = NX = MA = MX = 0")
             self.emit(" = ".join(counts.values()) + " = 0")
         self.emit("try:")
@@ -1054,8 +1049,7 @@ class _Codegen:
         if self.name == "apply":
             body = self.body()
             if self.journaled:
-                # Only the base frame open: its entries would be discarded.
-                body[:0] = ["fr = g._frames", "j = fr[-1][0] if len(fr) > 1 else []"]
+                body.insert(0, "j = g._frames[-1][0]")
             self.emit_lines(body)
         self.emit("stats.applications += 1")
         self.emit("by_rule = stats.by_rule")
@@ -1157,7 +1151,7 @@ class _Codegen:
             src, tgt = self.nodes[pe.src][0], self.nodes[pe.tgt][0]
             q = _edge_rec(e)
             self.emit(f"del edges[{e}]")
-            self.record(f"'-e', {e}, {src}, {tgt}, {q}.label, {self.known_mark(pe.mark, q)}")
+            self.record("-e", e, src, tgt, f"{q}.label", self.known_mark(pe.mark, q))
             self.emit(f"{self.adj_list('out_adj', src)}.remove({e})")
             self.emit(f"{self.adj_list('in_adj', tgt)}.remove({e})")
         for pid in self.deleted:
@@ -1165,8 +1159,7 @@ class _Codegen:
             h = self.nodes[pid][0]
             rec = self.node_rec(pid, pop=True)
             mark = self.known_mark(pn.mark, rec)
-            self.record(f"'-n', {h}, {rec}.label, {mark}, {self.lit(pn.rooted)}, "
-                        f"{rec}.root_seq")
+            self.record("-n", h, f"{rec}.label", mark, self.lit(pn.rooted), f"{rec}.root_seq")
             self.emit(f"del out_adj[{h}]")
             self.emit(f"del in_adj[{h}]")
             if pn.rooted:
@@ -1191,7 +1184,7 @@ class _Codegen:
                 self.emit(f"{self.registry(rn.mark, None)}[{h}] = None")
             if rn.mark != "none":
                 self.emit(f"g._by_mark[{mark}].add({h})")
-            self.record(f"'+n', {h}")
+            self.record("+n", h)
         # A new edge id is the largest, so appending keeps adjacency sorted.
         reused = self.reused()
         for i, pe in enumerate(rhs.edges):
@@ -1210,7 +1203,7 @@ class _Codegen:
                           f"{self.lit(pe.mark)})")
             self.emit(f"{self.adj_list('out_adj', src)}.append(x)")
             self.emit(f"{self.adj_list('in_adj', tgt)}.append(x)")
-            self.record("'+e', x")
+            self.record("+e", "x")
         body = self.lines
         self.lines, self.depth = outer
         return body
@@ -1280,7 +1273,7 @@ class _Codegen:
             self.emit(f"lab = {self.build(rn.label)}")
             self.emit(f"if lab != {r}.label:")
             self.depth += 1
-            self.record(f"'lb', {h}, {r}.label")
+            self.record("lb", h, f"{r}.label")
             self.emit(f"{r}.label = lab")
             self.depth -= 1
         mark = ln.mark
@@ -1294,7 +1287,7 @@ class _Codegen:
                 self.refiled = True
             else:
                 old = self.known_mark(ln.mark, r)
-                self.record(f"'mk', {h}, {old}")
+                self.record("mk", h, old)
                 if ln.mark != "none":
                     self.emit(f"g._by_mark[{old}].discard({h})")
                 self.emit(f"{r}.mark = {new}")
@@ -1306,13 +1299,13 @@ class _Codegen:
         if reroot:
             registry = self.registry(mark, r)
             if rn.rooted:
-                self.record(f"'rt', {h}, False, {r}.root_seq")
+                self.record("rt", h, "False", f"{r}.root_seq")
                 self.next_root_seq()
                 self.emit(f"{r}.rooted = True")
                 self.emit(f"{r}.root_seq = s")
                 self.emit(f"{registry}[{h}] = None")
             else:
-                self.record(f"'rt', {h}, True, {r}.root_seq")
+                self.record("rt", h, "True", f"{r}.root_seq")
                 self.emit(f"{r}.rooted = False")
                 self.emit(f"{r}.root_seq = 0")
                 self.emit(f"del {registry}[{h}]")
@@ -1329,8 +1322,10 @@ class _Codegen:
         """The mark of record `rec`: a literal unless the lhs left it open."""
         return f"{rec}.mark" if mark == "any" else self.lit(mark)
 
-    def record(self, entry: str) -> None:
-        self.emit(f"j.append(({entry}))")
+    def record(self, kind: str, *fields: str) -> None:
+        """Journal an entry of `kind` (a key of hostgraph.UNDO) whose fields
+        are the expressions `fields`, in the order its undo takes them."""
+        self.emit(f"j.append(({', '.join((self.lit(kind),) + fields)}))")
         self.journaled = True
 
     def next_root_seq(self) -> None:

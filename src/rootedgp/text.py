@@ -43,6 +43,20 @@ _TOKEN_RE = re.compile(
 _MAX_UNITS = 2 * MAX_NESTING
 _FRAMES_PER_UNIT = 3
 
+# A diagnostic quotes at most this many characters of the offending text.
+MAX_QUOTE = 40
+
+
+def _clip(text: str) -> str:
+    return text if len(text) <= MAX_QUOTE else text[:MAX_QUOTE] + "..."
+
+
+def _int(digits: str, line: int, col: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:    # more digits than int() converts
+        raise ParseError(f"integer too long: {_clip(digits)}", line, col) from None
+
 
 class Token(NamedTuple):
     kind: str      # "int" | "str" | "ident" | "punct" | "eof"
@@ -71,7 +85,7 @@ def _tokenize(text: str) -> list:
                 line += nl
                 line_start = pos + val.rfind("\n") + 1
         elif kind == "int":
-            tokens.append(Token("int", int(val), line, col))
+            tokens.append(Token("int", _int(val, line, col), line, col))
         elif kind == "str":
             tokens.append(Token("str", val[1:-1], line, col))
         else:
@@ -123,7 +137,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind or (value is not None and tok.value != value):
             want = value if value is not None else kind
-            got = "end of input" if tok.kind == "eof" else repr(tok.value)
+            got = "end of input" if tok.kind == "eof" else _clip(repr(tok.value))
             raise ParseError(f"expected {want!r}, found {got}", tok.line, tok.col)
         return self.take()
 
@@ -145,7 +159,7 @@ class _Parser:
             return tok.value
         if tok.kind == "ident" and tok.value[:1] == prefix and tok.value[1:].isdigit():
             self.take()
-            return int(tok.value[1:])
+            return _int(tok.value[1:], tok.line, tok.col)
         self.error("expected a node/edge id")
 
     def parse_mark(self, allowed, context) -> str:
@@ -154,7 +168,8 @@ class _Parser:
             return "none"
         tok = self.expect("ident")
         if tok.value not in allowed:
-            raise ParseError(f"unknown mark #{tok.value} in {context}", tok.line, tok.col)
+            raise ParseError(f"unknown mark #{_clip(str(tok.value))} in {context}",
+                             tok.line, tok.col)
         return tok.value
 
     def parse_label(self, kinds: Optional[dict]):
@@ -182,7 +197,8 @@ class _Parser:
             self.take()
             kind = kinds.get(tok.value)
             if kind is None:
-                raise ParseError(f"undeclared variable {tok.value!r}", tok.line, tok.col)
+                raise ParseError(f"undeclared variable {_clip(repr(tok.value))}",
+                                 tok.line, tok.col)
             return ("v", tok.value, kind)
         self.error("expected an atom or variable")
 
@@ -270,7 +286,7 @@ class _Parser:
                 self.expect("punct", ":")
                 tok = self.expect("ident")
                 if tok.value not in VAR_KINDS:
-                    raise ParseError(f"unknown variable kind {tok.value!r}",
+                    raise ParseError(f"unknown variable kind {_clip(repr(tok.value))}",
                                      tok.line, tok.col)
                 decls.extend((n, tok.value) for n in names)
                 if not self.accept("punct", ";"):
@@ -451,7 +467,7 @@ class _Parser:
             else:
                 self.error("expected '=' (procedure) or '(' (rule)")
             if name in rules or name in procs:
-                raise ParseError(f"duplicate declaration {name!r}",
+                raise ParseError(f"duplicate declaration {_clip(repr(name))}",
                                  name_tok.line, name_tok.col)
             decls[name] = decl
         return Program(rules, procs)
@@ -530,11 +546,11 @@ def parse_opscript(text: str) -> list:
             continue
         fields = line.split()
         if len(fields) != 2 or fields[0] not in ("i", "s", "d"):
-            raise ParseError(f"malformed op {raw.strip()!r}", lineno, 1)
+            raise ParseError(f"malformed op {_clip(repr(raw.strip()))}", lineno, 1)
         try:
             key = int(fields[1])
         except ValueError:
-            raise ParseError(f"malformed key {fields[1]!r}", lineno, 1) from None
+            raise ParseError(f"malformed key {_clip(repr(fields[1]))}", lineno, 1) from None
         ops.append(Op(fields[0], key))
     return ops
 

@@ -1,5 +1,5 @@
-"""Test support: brute-force reference matcher, reference rewrite and
-random generators.
+"""Test support: brute-force reference matcher, reference rewrite, label
+unification and random generators.
 
 The reference matcher enumerates every injective node map outright and
 checks rootedness, marks, label unification, the rule condition, and the
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Optional
 
 from rootedgp.errors import DivergenceError
 from rootedgp.hostgraph import EDGE_MARKS, NODE_MARKS, HostGraph
@@ -25,12 +26,31 @@ from rootedgp.interp import (
     DEFAULT_MAX_ITERS, Break, Call, Fail, If, Loop, RuleSet, Seq, Skip, Status, Try,
 )
 from rootedgp.labels import (
-    AndC, CmpC, DegT, IntT, LabelPattern, VarT, eval_cond, eval_pattern, unify_label,
+    AndC, CmpC, DegT, IntT, LabelPattern, VarT, eval_cond, eval_pattern, unify_into,
 )
 from rootedgp.rules import (
     BUDGET_EXHAUSTED, Match, MatchStats, PatternEdge, PatternGraph, PatternNode, Rule,
     apply_rule, validate_rule,
 )
+
+
+def const_pattern(label) -> LabelPattern:
+    """The pattern matching exactly `label`."""
+    return LabelPattern(tuple(("c", a) for a in label))
+
+
+def unify_label(pattern: LabelPattern, label, partial: Optional[dict] = None) -> Optional[dict]:
+    """Match `pattern` against `label`, extending a copy of `partial`.
+
+    Returns the extended assignment, or None if no consistent extension
+    exists.  With at most one list slot the solution is unique, so the
+    first (and only) answer is returned.
+    """
+    assignment = dict(partial) if partial else {}
+    trail: list = []
+    if unify_into(pattern, label, assignment, trail):
+        return assignment
+    return None
 
 
 def root_anchored(rule) -> bool:

@@ -7,7 +7,7 @@ from rootedgp import bst
 from rootedgp.cli import main
 from rootedgp.interp import MAX_NESTING
 from rootedgp.labels import MAX_COND_DEPTH
-from rootedgp.text import parse_host, parse_program
+from rootedgp.text import MAX_QUOTE, parse_host, parse_program
 
 GOLDEN_RUN = (
     '[ (n0, "i":5) (n1(R), "s":5) (n2, empty #green) (n3, 5 #grey) | '
@@ -171,6 +171,13 @@ class TestCheck:
         assert code == 0
         assert "check ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seeds_exits_2_on_one_line(self, capsys, seeds):
+        assert main(["check", "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seeds must be at least 1\n"
+
 
 class TestBench:
     def test_single_size_rejected(self, capsys):
@@ -290,3 +297,35 @@ class TestDeepConditions:
             err = capsys.readouterr().err
             assert err == ("validation error: rule r: condition nests and/or/not "
                            f"250 deep (at most {MAX_COND_DEPTH})\n")
+
+
+LONG_INT = "9" * 5000
+
+
+class TestBoundedDiagnostics:
+    """A syntax error quotes a bounded part of the offending text and
+    names its line and column, however long the text is."""
+
+    @pytest.mark.parametrize("name, text, command, position", [
+        ("ops", f"i {LONG_INT}\n", "bst", "1:1"),
+        ("ops", "i 5\n" + "x" * 5000 + " 1\n", "bst", "2:1"),
+        ("host", f"[ (n0, {LONG_INT}) | ]", "run", "1:8"),
+        ("host", "[ " + "x" * 5000 + " ]", "run", "1:3"),
+        ("gp2", "Main = r\nr(x:int) [ (1(R), x) | ] => [ (1(R), x) | ] "
+                f"interface = {{1}} where x > {LONG_INT}\n", "validate", "2:71"),
+    ], ids=["long-key", "long-op", "long-host-int", "long-host-token",
+            "long-condition-int"])
+    def test_exits_2_on_one_short_line(self, tmp_path, capsys, name, text,
+                                       command, position):
+        path = tmp_path / f"in.{name}"
+        path.write_text(text)
+        argv = {"bst": ["bst", str(path)],
+                "run": ["run", asset_path("bst_sanitized.gp2"), str(path)],
+                "validate": ["validate", str(path)]}[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith(f"syntax error: {position}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err) < MAX_QUOTE + 60

@@ -86,6 +86,20 @@ def test_empty_commit_is_noop():
     assert g.state() == snap
 
 
+def test_base_frame_keeps_no_entries():
+    # Nothing rolls the base frame back, so it keeps neither a mutation
+    # made while it is alone nor the entries of a scope committed into it.
+    g = HostGraph()
+    a = g.add_node((1,), "red", True)
+    t = g.begin_scope()
+    g.set_label(a, (2,))
+    g.add_edge(a, g.add_node((3,)))
+    assert len(g._frames[-1][0]) == 3
+    g.commit_scope(t)
+    g.set_mark(a, "blue")
+    assert list(g._frames[0][0]) == []
+
+
 def test_non_lifo_scope_use_faults():
     g = HostGraph()
     t1 = g.begin_scope()

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchref import const_pattern, unify_label
 from rootedgp.errors import ValidationError
 from rootedgp.labels import (
-    AndC, CmpC, DegT, IntT, LabelPattern, VarT, const_pattern, eval_cond,
-    eval_pattern, format_label, unify_label,
+    AndC, CmpC, DegT, IntT, LabelPattern, VarT, eval_cond, eval_pattern,
+    format_label,
 )
 
 
