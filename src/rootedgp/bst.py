@@ -4,8 +4,9 @@ tree readback, output validation, and the differential harness.
 Two program variants ship as text assets.  `faithful` keeps the classic
 rule set exactly as drawn: matched and deleted grey nodes stay rooted
 afterwards, and a duplicate insert breaks out of the whole instruction
-list.  Those stale roots poison later operations under root-preserving
-matching, so `sanitized` (the default) makes three minimal amendments:
+list, as does a search or delete on an empty tree.  Those stale roots
+poison later operations under root-preserving matching, so `sanitized`
+(the default) makes four minimal amendments:
 
   1. an `unroot` rule swept at the end of Search and Delete, clearing
      leftover traversal roots;
@@ -14,6 +15,9 @@ matching, so `sanitized` (the default) makes three minimal amendments:
   3. Delete verifies via `match` that the dead-end node really holds the
      requested key before the case analysis, so deleting an absent key
      is a no-op.
+  4. Search and Delete run only when `root` finds a tree (`try root then
+     (...)`), so a search on an empty tree is a miss, a delete is a
+     no-op, and the instruction list goes on.
 
 Everything else, including all traversal and swap rules, is shared
 verbatim; tests machine-check that the variants differ by exactly this

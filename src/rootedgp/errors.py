@@ -1,4 +1,11 @@
-"""Shared exception types."""
+"""Shared exception types, and the bound on what a diagnostic quotes."""
+
+# A diagnostic quotes at most this many characters of the offending text.
+MAX_QUOTE = 40
+
+
+def _clip(text: str) -> str:
+    return text if len(text) <= MAX_QUOTE else text[:MAX_QUOTE] + "..."
 
 
 class GraphError(Exception):

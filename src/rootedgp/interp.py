@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, _clip
 from .hostgraph import HostGraph
 from .rules import (
     _MAX_LOOPS, BUDGET_EXHAUSTED, MatchStats, fused_applier, fused_loop,
@@ -178,7 +178,7 @@ def validate_program(program: Program) -> list:
     for name, body in program.procs.items():
         depth = _nesting(body)
         if depth > MAX_NESTING:
-            errors.append(f"procedure {name!r} nests commands {depth} deep "
+            errors.append(f"procedure {_clip(repr(name))} nests commands {depth} deep "
                           f"(at most {MAX_NESTING})")
     if errors:
         raise ValidationError("; ".join(errors))
@@ -194,7 +194,7 @@ def validate_program(program: Program) -> list:
 
     overlap = set(program.rules) & set(program.procs)
     for name in sorted(overlap):
-        errors.append(f"name {name!r} declared as both rule and procedure")
+        errors.append(f"name {_clip(repr(name))} declared as both rule and procedure")
 
     # Contexts: "loop" (break legal), "top" (break escapes Main), and
     # "cond" (break would escape a try/if condition).  A loop inside a
@@ -214,11 +214,11 @@ def validate_program(program: Program) -> list:
                 continue
             body = program.procs.get(cmd.name)
             if body is None:
-                errors.append(f"undefined name {cmd.name!r}")
+                errors.append(f"undefined name {_clip(repr(cmd.name))}")
             elif cmd.name in chain:
-                errors.append(f"recursive procedure {cmd.name!r}")
+                errors.append(f"recursive procedure {_clip(repr(cmd.name))}")
             elif len(chain) > MAX_NESTING:
-                errors.append(f"procedure {cmd.name!r} is called through a chain "
+                errors.append(f"procedure {_clip(repr(cmd.name))} is called through a chain "
                               f"of {len(chain)} calls (at most {MAX_NESTING})")
             elif walked.get((cmd.name, ctx), 0) < len(chain):
                 walked[cmd.name, ctx] = len(chain)
@@ -226,7 +226,7 @@ def validate_program(program: Program) -> list:
         elif kind is RuleSet:
             for n in cmd.names:
                 if n not in program.rules:
-                    errors.append(f"rule set member {n!r} is not a rule")
+                    errors.append(f"rule set member {_clip(repr(n))} is not a rule")
         elif kind is Seq:
             work.extend((p, ctx, chain) for p in reversed(cmd.parts))
         elif kind is Loop:

@@ -34,16 +34,16 @@ it for inspection.  apply_match is a checked wrapper over the fused
 application for a caller that inspected the match first.  Both functions
 are compiled on first use; validate_rule drops both.
 
+An edge on both sides of a rule (_Codegen.kept) stays in place: the
+rewrite neither deletes nor creates it, so it keeps its id, its record and
+its place in both adjacency lists, and nothing is journalled for it; GP 2
+defines a rule's result only up to isomorphism.  So the BST descent, which
+moves a root along a tree edge, touches no edge.
+
 The rewrite does no work the search has done.  The search keeps each
 matched edge's record, each bound node's record and each adjacency list
 it tested (adjacency first, below) in a local, and the rewrite reads
-them there rather than from the stores.  An edge the rewrite creates
-takes the record of an edge it deleted and sets only the fields that
-differ, so an edge that keeps its endpoints, label and mark (as in the
-BST descent, which moves a root along a tree edge) costs no record and
-no field write; a record is built only for the edges beyond the deleted
-ones.  Edge ids, the journal and the counters are as if every edge were
-new.
+them there rather than from the stores.
 
 A loop over a rule or a rule set (`r!`, `{r1, ..., rk}!`) is compiled
 into one more function, its loop function (fused_loop): one `while` that
@@ -89,7 +89,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, _clip
 from .hostgraph import EDGE_MARKS, NODE_MARKS, EdgeRec, HostGraph, NodeRec
 from .labels import (
     MAX_COND_DEPTH, AndC, ArithT, CmpC, DegT, IntT, LabelPattern, NotC, OrC,
@@ -275,63 +275,63 @@ def validate_rule(rule: Rule) -> list:
     warnings = []
     kinds = dict(rule.vars)
     if len(kinds) != len(rule.vars):
-        errors.append(f"rule {rule.name}: duplicate variable declaration")
+        errors.append("duplicate variable declaration")
 
     declared = set(kinds)
     lhs_vars, rhs_vars = set(), set()
     for side_name, side in (("lhs", rule.lhs), ("rhs", rule.rhs)):
         for pid, pn in side.nodes.items():
             if pn.pid != pid:
-                errors.append(f"rule {rule.name}: inconsistent pid map on {side_name}")
+                errors.append(f"inconsistent pid map on {side_name}")
             for v in pn.label.variables():
                 if v not in declared:
-                    errors.append(f"rule {rule.name}: undeclared variable {v!r}")
+                    errors.append(f"undeclared variable {_clip(repr(v))}")
                 else:
                     (lhs_vars if side_name == "lhs" else rhs_vars).add(v)
             if pn.mark not in NODE_MARKS and pn.mark != "any":
-                errors.append(f"rule {rule.name}: bad node mark {pn.mark!r}")
+                errors.append(f"bad node mark {_clip(repr(pn.mark))}")
         for pe in side.edges:
             if pe.src not in side.nodes or pe.tgt not in side.nodes:
-                errors.append(f"rule {rule.name}: edge endpoint missing on {side_name}")
+                errors.append(f"edge endpoint missing on {side_name}")
             if pe.mark not in EDGE_MARKS and pe.mark != "any":
-                errors.append(f"rule {rule.name}: bad edge mark {pe.mark!r}")
+                errors.append(f"bad edge mark {_clip(repr(pe.mark))}")
             for v in pe.label.variables():
                 if v not in declared:
-                    errors.append(f"rule {rule.name}: undeclared variable {v!r}")
+                    errors.append(f"undeclared variable {_clip(repr(v))}")
                 else:
                     (lhs_vars if side_name == "lhs" else rhs_vars).add(v)
 
     for pid in rule.interface:
         if pid not in rule.lhs.nodes or pid not in rule.rhs.nodes:
-            errors.append(f"rule {rule.name}: interface pid {pid} not on both sides")
+            errors.append(f"interface pid {_clip(str(pid))} not on both sides")
 
     for v in sorted(rhs_vars - lhs_vars):
-        errors.append(f"rule {rule.name}: variable {v!r} used on rhs only")
+        errors.append(f"variable {_clip(repr(v))} used on rhs only")
 
     for pid, pn in rule.rhs.nodes.items():
         if pid not in rule.interface and pn.mark == "any":
-            errors.append(f"rule {rule.name}: created node {pid} has wildcard mark")
+            errors.append(f"created node {_clip(str(pid))} has wildcard mark")
     for pe in rule.rhs.edges:
         if pe.mark == "any":
-            errors.append(f"rule {rule.name}: rhs edge has wildcard mark")
+            errors.append("rhs edge has wildcard mark")
 
     if rule.cond is not None:
         cond_vars, cond_pids, depth = cond_refs(rule.cond)
         for v in sorted(cond_vars):
             if v not in lhs_vars:
-                errors.append(f"rule {rule.name}: condition uses unbound variable {v!r}")
+                errors.append(f"condition uses unbound variable {_clip(repr(v))}")
         for pid in sorted(cond_pids):
             if pid not in rule.lhs.nodes:
-                errors.append(f"rule {rule.name}: condition queries unknown node {pid}")
+                errors.append(f"condition queries unknown node {_clip(str(pid))}")
         if depth > MAX_COND_DEPTH:
-            errors.append(f"rule {rule.name}: condition nests and/or/not {depth} "
-                          f"deep (at most {MAX_COND_DEPTH})")
+            errors.append(f"condition nests and/or/not {depth} deep (at most {MAX_COND_DEPTH})")
 
     if errors:
-        raise ValidationError("; ".join(errors))
+        name = _clip(rule.name)
+        raise ValidationError("; ".join(f"rule {name}: {e}" for e in errors))
 
     if rule.lhs.nodes and not any(pn.rooted for pn in rule.lhs.nodes.values()):
-        warnings.append(f"rule {rule.name}: no rooted node in left-hand side")
+        warnings.append(f"rule {_clip(rule.name)}: no rooted node in left-hand side")
 
     rule.plan = _build_plan(rule)
     rule.applier = rule.prober = None
@@ -1113,19 +1113,18 @@ class _Codegen:
     def body(self) -> list:
         """The rewrite as lines indented relative to their block, reading
         the host nodes, edges and variables from the search's locals: it
-        deletes the matched edges, then the lhs nodes outside the interface,
-        relabels, remarks and reroots the interface nodes, then creates the
-        other rhs nodes and every rhs edge.  It updates the stores directly
-        and journals into `j` exactly what the HostGraph mutators would.
-        Roots and marks the lhs fixes are not tested again; a remarked root
-        goes through set_mark, which refiles the root registries.
+        deletes the matched edges kept leaves unpaired, then the lhs nodes
+        outside the interface, relabels, remarks and reroots the interface
+        nodes, then creates the other rhs nodes and the unpaired rhs edges.
+        It updates the stores directly and journals into `j` exactly what
+        the HostGraph mutators would.  Roots and marks the lhs fixes are not
+        tested again; a remarked root goes through set_mark, which refiles
+        the root registries.
 
         It reads no record or list the search kept in a local: a matched
         edge's record, a bound node's record and the list adjacency-first
         tested.  A list it reads twice otherwise goes into a local at the
-        first read.  An rhs edge takes the record of a deleted lhs edge,
-        when one is left, setting only the fields that differ (reused);
-        only the rhs edges beyond the deleted ones get new records.
+        first read.
         """
         rule = self.rule
         lhs, rhs = rule.lhs, rule.rhs
@@ -1141,13 +1140,16 @@ class _Codegen:
         # local holding it, if any.
         self.lists = {(store, self.nodes[pid][0]): local
                       for (store, pid), local in self.adjs.items()}
+        kept = self.kept()
+        deleted = [(e, pe) for k, e, pe in self.edges if k not in kept.values()]
+        created = [pe for i, pe in enumerate(rhs.edges) if i not in kept]
         self.uses = {}
-        ends = [(self.nodes[pe.src][0], self.nodes[pe.tgt][0]) for _, _, pe in self.edges]
-        ends += [(imgs[pe.src], imgs[pe.tgt]) for pe in rhs.edges]
+        ends = [(self.nodes[pe.src][0], self.nodes[pe.tgt][0]) for _, pe in deleted]
+        ends += [(imgs[pe.src], imgs[pe.tgt]) for pe in created]
         for src, tgt in ends:
             for key in (("out_adj", src), ("in_adj", tgt)):
                 self.uses[key] = self.uses.get(key, 0) + 1
-        for _, e, pe in self.edges:
+        for e, pe in deleted:
             src, tgt = self.nodes[pe.src][0], self.nodes[pe.tgt][0]
             q = _edge_rec(e)
             self.emit(f"del edges[{e}]")
@@ -1186,21 +1188,12 @@ class _Codegen:
                 self.emit(f"g._by_mark[{mark}].add({h})")
             self.record("+n", h)
         # A new edge id is the largest, so appending keeps adjacency sorted.
-        reused = self.reused()
-        for i, pe in enumerate(rhs.edges):
+        for pe in created:
             src, tgt = imgs[pe.src], imgs[pe.tgt]
             self.emit("x = g._next_edge")
             self.emit("g._next_edge = x + 1")
-            if i in reused:
-                q, fields = reused[i]
-                values = {"src": src, "tgt": tgt, "label": self.build(pe.label),
-                          "mark": self.lit(pe.mark)}
-                for name in fields:
-                    self.emit(f"{q}.{name} = {values[name]}")
-                self.emit(f"edges[x] = {q}")
-            else:
-                self.emit(f"edges[x] = EdgeRec({src}, {tgt}, {self.build(pe.label)}, "
-                          f"{self.lit(pe.mark)})")
+            self.emit(f"edges[x] = EdgeRec({src}, {tgt}, {self.build(pe.label)}, "
+                      f"{self.lit(pe.mark)})")
             self.emit(f"{self.adj_list('out_adj', src)}.append(x)")
             self.emit(f"{self.adj_list('in_adj', tgt)}.append(x)")
             self.record("+e", "x")
@@ -1208,27 +1201,22 @@ class _Codegen:
         self.lines, self.depth = outer
         return body
 
-    def reused(self) -> dict:
-        """rhs edge index -> (local of the deleted edge record it takes,
-        the fields to set on it).  Pairs needing fewer fields go first: an
-        rhs edge with the endpoints, label and mark of a deleted lhs edge
-        takes its record as it is.  Each record goes to one rhs edge."""
+    def kept(self) -> dict:
+        """rhs edge index -> index of the lhs edge it keeps.  Each lhs edge,
+        in declaration order, pairs with the first unpaired rhs edge with
+        its source, target, label pattern and mark, both ends interface
+        nodes; an lhs edge marked `any` never pairs."""
         iface = self.rule.interface
-        pairs = []
-        for i, pe in enumerate(self.rule.rhs.edges):
-            for k, (_, e, le) in enumerate(self.edges):
-                fields = [name for name, same in (
-                    ("src", le.src == pe.src and pe.src in iface),
-                    ("tgt", le.tgt == pe.tgt and pe.tgt in iface),
-                    ("label", le.label == pe.label),
-                    ("mark", le.mark == pe.mark)) if not same]
-                pairs.append((len(fields), i, k, _edge_rec(e), fields))
-        reused, taken = {}, set()
-        for _, i, k, q, fields in sorted(pairs, key=lambda t: t[:3]):
-            if i not in reused and k not in taken:
-                reused[i] = (q, fields)
-                taken.add(k)
-        return reused
+        kept = {}
+        for k, le in enumerate(self.rule.lhs.edges):
+            if le.src not in iface or le.tgt not in iface:
+                continue
+            for i, pe in enumerate(self.rule.rhs.edges):
+                if i not in kept and (pe.src, pe.tgt, pe.label, pe.mark) == (
+                        le.src, le.tgt, le.label, le.mark):
+                    kept[i] = k
+                    break
+        return kept
 
     def adj_list(self, store: str, h: str, new: bool = False) -> str:
         """The rewrite's expression for list `store[h]`: the local holding

@@ -11,7 +11,8 @@ import re
 import sys
 from typing import NamedTuple, Optional
 
-from .errors import ParseError
+# MAX_QUOTE, the bound on what a diagnostic quotes, is exported here too.
+from .errors import MAX_QUOTE, ParseError, _clip  # noqa: F401
 from .hostgraph import EDGE_MARKS, NODE_MARKS, HostGraph
 from .interp import (
     BREAK, FAIL, MAX_NESTING, SKIP, Call, Command, If, Loop, Program, RuleSet, Seq,
@@ -42,13 +43,6 @@ _TOKEN_RE = re.compile(
 # recursion limit by _FRAMES_PER_UNIT frames per unit while it runs.
 _MAX_UNITS = 2 * MAX_NESTING
 _FRAMES_PER_UNIT = 3
-
-# A diagnostic quotes at most this many characters of the offending text.
-MAX_QUOTE = 40
-
-
-def _clip(text: str) -> str:
-    return text if len(text) <= MAX_QUOTE else text[:MAX_QUOTE] + "..."
 
 
 def _int(digits: str, line: int, col: int) -> int:
@@ -536,6 +530,10 @@ class Op(NamedTuple):
     key: int
 
 
+# An op key: ASCII digits with an optional minus sign.
+_KEY_RE = re.compile(r"-?[0-9]+")
+
+
 def parse_opscript(text: str) -> list:
     """One instruction per line: `i 5`, `s 7`, `d 2`.  Blank lines and
     `#` comments are ignored."""
@@ -547,11 +545,9 @@ def parse_opscript(text: str) -> list:
         fields = line.split()
         if len(fields) != 2 or fields[0] not in ("i", "s", "d"):
             raise ParseError(f"malformed op {_clip(repr(raw.strip()))}", lineno, 1)
-        try:
-            key = int(fields[1])
-        except ValueError:
-            raise ParseError(f"malformed key {_clip(repr(fields[1]))}", lineno, 1) from None
-        ops.append(Op(fields[0], key))
+        if not _KEY_RE.fullmatch(fields[1]):
+            raise ParseError(f"malformed key {_clip(repr(fields[1]))}", lineno, 1)
+        ops.append(Op(fields[0], _int(fields[1], lineno, 1)))
     return ops
 
 

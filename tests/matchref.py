@@ -544,10 +544,23 @@ def reference_apply(rule: Rule, m, g: HostGraph) -> None:
     """Apply match `m` through the public HostGraph mutators, in the order
     apply_match documents: delete the matched edges (in match order), then
     the non-interface lhs nodes; relabel, remark and reroot each interface
-    node; create the non-interface rhs nodes, then the rhs edges."""
+    node; create the non-interface rhs nodes, then the rhs edges.
+
+    An lhs edge paired with an rhs edge stays as it is: each lhs edge, in
+    declaration order, pairs with the first unpaired rhs edge with the same
+    source and target, both in the interface, label pattern and mark."""
     a = m.assignment
-    for eid in m.edges.values():
-        g.delete_edge(eid)
+    kept = {}
+    for k, le in enumerate(rule.lhs.edges):
+        for i, pe in enumerate(rule.rhs.edges):
+            if (i not in kept and le.src in rule.interface and le.tgt in rule.interface
+                    and (le.src, le.tgt, le.label, le.mark)
+                    == (pe.src, pe.tgt, pe.label, pe.mark)):
+                kept[i] = k
+                break
+    for k, eid in m.edges.items():
+        if k not in kept.values():
+            g.delete_edge(eid)
     for pid in sorted(set(rule.lhs.nodes) - rule.interface):
         g.delete_node(m.nodes[pid])
     image = {}
@@ -563,8 +576,9 @@ def reference_apply(rule: Rule, m, g: HostGraph) -> None:
     for pid in sorted(set(rule.rhs.nodes) - rule.interface):
         rn = rule.rhs.nodes[pid]
         image[pid] = g.add_node(eval_pattern(rn.label, a), rn.mark, rn.rooted)
-    for pe in rule.rhs.edges:
-        g.add_edge(image[pe.src], image[pe.tgt], eval_pattern(pe.label, a), pe.mark)
+    for i, pe in enumerate(rule.rhs.edges):
+        if i not in kept:
+            g.add_edge(image[pe.src], image[pe.tgt], eval_pattern(pe.label, a), pe.mark)
 
 
 def reference_run(program, g: HostGraph, max_iters: int = DEFAULT_MAX_ITERS,

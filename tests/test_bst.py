@@ -332,6 +332,14 @@ class TestDifferential:
             ops = gen_workload(seed, 50, "sanitized-safe")
             assert diff_against_oracle(ops) is None, f"seed {seed}"
 
+    def test_dense_key_battery(self):
+        # Small key ranges: duplicates, absent deletes, and trees that
+        # empty, with searches and deletes on the empty tree.
+        for key_hi in (20, 5):
+            for seed in range(300):
+                ops = gen_workload(seed, 40, "unrestricted", key_lo=0, key_hi=key_hi)
+                assert diff_against_oracle(ops) is None, f"key_hi {key_hi}, seed {seed}"
+
     def test_sanitized_anchor_bound_holds_throughout(self):
         # at most three roots ever exist in a sanitized run (instruction,
         # traversal node, red tracker), so no matching call tries more
@@ -390,6 +398,21 @@ def _counters(stats):
     }
 
 
+class TestDeleteCost:
+    def test_delete_extensions_do_not_grow_with_prior_searches(self):
+        # Each search hit adds a dashed edge into the found node.  The tree
+        # edges keep their place in its in-adjacency, ahead of the dashed
+        # ones, so delete_leaf finds the parent edge first.
+        steps = set()
+        for m in (0, 10, 100, 1000):
+            ops = [Op("i", 5), Op("i", 3), Op("i", 8)] + [Op("s", 3)] * m + [Op("d", 3)]
+            r = run_bst(ops)
+            assert r.status is Status.SUCCESS
+            assert format_tree(r.tree) == "(5 () (8))"
+            steps.add(r.per_op_stats[-1].extension_steps)
+        assert steps == {9}
+
+
 class TestCounterGolden:
     """Every matching counter of two fixed runs, pinned: the search order
     and the places the counters are incremented are part of the engine's
@@ -420,7 +443,7 @@ class TestCounterGolden:
         assert r.status is Status.SUCCESS
         assert _counters(r.stats) == {
             "anchors_tried": 36230,
-            "extension_steps": 9868,
+            "extension_steps": 9750,
             "matches_found": 1723,
             "applications": 1723,
             "by_rule": {

@@ -11,7 +11,7 @@ from rootedgp.text import MAX_QUOTE, parse_host, parse_program
 
 GOLDEN_RUN = (
     '[ (n0, "i":5) (n1(R), "s":5) (n2, empty #green) (n3, 5 #grey) | '
-    '(e2, n0, n1, empty) (e3, n2, n3, empty) (e4, n1, n3, empty #dashed) ]'
+    '(e0, n0, n1, empty) (e1, n2, n3, empty) (e2, n1, n3, empty #dashed) ]'
 )
 
 GOLDEN_TREE = "(5 (2 (1) (4)) (7 () (8)))"
@@ -52,6 +52,13 @@ class TestRun:
         out = capsys.readouterr().out
         assert code == 0
         assert out == GOLDEN_RUN + "\n"
+
+    def test_traversed_edge_keeps_its_id(self, tmp_path, capsys):
+        # next_op moves the root along e7 and leaves the edge in place.
+        host = tmp_path / "in.host"
+        host.write_text('[ (n0(R), "i":5) (n1, "i":6) | (e7, n0, n1, empty) ]')
+        assert main(["run", asset_path("bst_sanitized.gp2"), str(host)]) == 0
+        assert "(e7, n0, n1, empty)" in capsys.readouterr().out
 
     def test_byte_identical_across_runs(self, capsys, small_host):
         main(["run", asset_path("bst_sanitized.gp2"), small_host])
@@ -121,6 +128,22 @@ class TestBst:
         assert "violations 0" in out
         assert "garbage 1" in out
 
+    def test_empty_tree_search_does_not_end_the_list(self, tmp_path, capsys):
+        # A search on an empty tree is a miss; the insert after it still runs.
+        ops = tmp_path / "w.ops"
+        ops.write_text("s 3\ni 7\n")
+        assert main(["bst", str(ops), "--print", "tree"]) == 0
+        assert capsys.readouterr().out == "(7)\n"
+
+    @pytest.mark.parametrize("key", ["1_000", "+5", "\u0661\u0662"])
+    def test_non_ascii_or_signed_key_exits_2(self, tmp_path, capsys, key):
+        ops = tmp_path / "w.ops"
+        ops.write_text(f"i 5\ns {key}\n", encoding="utf-8")
+        assert main(["bst", str(ops)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"syntax error: 2:1: malformed key {key!r}\n"
+
     def test_zero_max_iters_aborts(self, capsys):
         assert main(["bst", asset_path("fig1.ops"), "--max-iters", "0"]) == 1
         assert "aborted:" in capsys.readouterr().err
@@ -145,7 +168,8 @@ class TestCheck:
         assert code == 2
 
     def test_mismatch_prints_minimized_counterexample(self, capsys, monkeypatch):
-        # go_left1 with a loosened guard walks past an exact hit
+        # go_left1 with a loosened guard walks past an exact hit, so the
+        # delete below misses the key it should remove
         text = bst.asset_text("bst_sanitized.gp2").replace(
             "where m < n and x < n", "where m <= n and x <= n")
         monkeypatch.setitem(bst._programs, "sanitized", parse_program(text))
@@ -153,9 +177,10 @@ class TestCheck:
         assert code == 3
         assert capsys.readouterr().out == (
             "seed 0: tree mismatch: engine (3578 (3350) (8965)), oracle (8965)\n"
-            "counterexample (2 ops):\n"
-            "s 8852\n"
-            "i 8965\n"
+            "counterexample (3 ops):\n"
+            "i 3350\n"
+            "i 1031\n"
+            "d 3350\n"
             "\n"
         )
 
@@ -245,6 +270,15 @@ class TestValidate:
         assert err == (f"validation error: procedure 'P{MAX_NESTING + 1}' is called "
                        f"through a chain of {MAX_NESTING + 1} calls "
                        f"(at most {MAX_NESTING})\n")
+
+    def test_long_undefined_name_exits_3_on_one_short_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.gp2"
+        bad.write_text("Main = " + "a" * 3000 + "\n")
+        assert main(["validate", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: undefined name 'aaaa")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err) < MAX_QUOTE + 60
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -322,6 +322,25 @@ class TestCompiledControl:
             assert len(built) == records, n
             g.check_registries()
 
+    @pytest.mark.parametrize("op, entries", [("insert", 2002), ("search", 2001),
+                                             ("delete", 2001)])
+    def test_chain_op_journals_no_edge_per_step(self, op, entries):
+        # A descent step leaves the tree edge it follows in place and
+        # journals only its unroot and root.
+        n = 1000
+        g = append_instructions(build_degenerate_graph(n), measured_ops("degenerate", n, op))
+        token = g.begin_scope()
+        assert run(measurement_program("sanitized"), g, stats=MatchStats()) is Status.SUCCESS
+        assert len(g._frames[-1][0]) == entries
+        g.rollback_scope(token)
+        g.check_registries()
+
+    def test_chain_search_creates_only_its_search_edge(self):
+        n = 1000
+        g = append_instructions(build_degenerate_graph(n), measured_ops("degenerate", n, "search"))
+        assert run(measurement_program("sanitized"), g, stats=MatchStats()) is Status.SUCCESS
+        assert g._next_edge == n + 1
+
     @pytest.mark.parametrize("op", ["insert", "search", "delete"])
     def test_chain_op_makes_as_many_compiled_calls_at_any_length(self, op):
         # Each loop over rules runs as one call, however many iterations
